@@ -25,9 +25,10 @@ Boundary values (derived from ``H[i][0] = H[0][i] = -(q + i·e)``):
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from ..errors import AlignmentError
 from .cigar import Cigar
@@ -56,46 +57,86 @@ def first_seed(r: int, q: int, e: int) -> int:
     return -(q + e) if r == 0 else -e
 
 
-def traceback_dir(dirmat: np.ndarray, end_ti: int, end_qj: int) -> Cigar:
+def traceback_dir(
+    dirmat: np.ndarray,
+    end_ti: int,
+    end_qj: int,
+    band: Optional[Tuple[int, int]] = None,
+) -> Cigar:
     """Backtrack a direction matrix produced by a difference kernel.
 
-    ``dirmat`` is ``(m, n)`` uint8 with the bit layout above. The state
-    machine mirrors ksw2: in state M the source bits of the current cell
-    decide; in state E/D (resp. F/I) the continuation bit of the cell
-    above (resp. left) decides whether the gap chain continues.
+    ``dirmat`` is ``(m, n)`` uint8 with the bit layout above, with any
+    non-negative strides (a lane of a batched kernel's shared buffer
+    needs no copy). The state machine mirrors ksw2: in state M the
+    source bits of the current cell decide; in state E/D (resp. F/I)
+    the continuation bit of the cell above (resp. left) decides whether
+    the gap chain continues.
+
+    ``band = (lo, hi)`` reads cells off the offset-diagonal corridor
+    ``lo <= qj - ti <= hi`` as 0, as a kernel that never writes them
+    leaves them.
     """
     if end_ti >= dirmat.shape[0] or end_qj >= dirmat.shape[1]:
         raise AlignmentError(
             f"traceback start ({end_ti},{end_qj}) outside matrix {dirmat.shape}"
         )
-    ops_rev: List[str] = []
-    ti, qj = end_ti, end_qj
-    state = "M"
-    while ti >= 0 and qj >= 0:
-        d = int(dirmat[ti, qj])
-        if state == "M":
-            src = d & SRC_MASK
-            if src == SRC_DIAG:
-                ops_rev.append("M")
-                ti -= 1
-                qj -= 1
-            elif src == SRC_E:
-                state = "E"
-            else:
-                state = "F"
-        elif state == "E":
-            ops_rev.append("D")
-            cont = ti >= 1 and (int(dirmat[ti - 1, qj]) & X_CONT)
-            ti -= 1
-            state = "E" if cont else "M"
+    # Read cells as bytes of a flat view spanning the matrix: cell
+    # (ti, qj) sits at ti*s0 + qj*s1.
+    s0, s1 = dirmat.strides
+    span = (dirmat.shape[0] - 1) * s0 + (dirmat.shape[1] - 1) * s1 + 1
+    buf = memoryview(as_strided(dirmat, shape=(span,), strides=(1,)))
+    lo, hi = band if band is not None else (-end_ti - 1, end_qj + 1)
+    runs: List[Tuple[int, str]] = []  # (length, op), last op first
+
+    def emit(k: int, op: str) -> None:
+        if runs and runs[-1][1] == op:
+            runs[-1] = (runs[-1][0] + k, op)
         else:
-            ops_rev.append("I")
-            cont = qj >= 1 and (int(dirmat[ti, qj - 1]) & Y_CONT)
-            qj -= 1
-            state = "F" if cont else "M"
+            runs.append((k, op))
+
+    ti, qj = end_ti, end_qj
+    while ti >= 0 and qj >= 0:
+        # State M: follow diagonal sources down offset diagonal qj - ti
+        # (off the band every cell reads as one) to the first gap source.
+        k, kmax = 0, min(ti, qj) + 1
+        src = SRC_DIAG
+        if lo <= qj - ti <= hi:
+            pos, step = ti * s0 + qj * s1, s0 + s1
+            while k < kmax:
+                src = buf[pos] & SRC_MASK
+                if src != SRC_DIAG:
+                    break
+                pos -= step
+                k += 1
+        else:
+            k = kmax
+        if k:
+            ti -= k
+            qj -= k
+            emit(k, "M")
+        if src == SRC_DIAG:  # ran off the top/left edge
+            break
+        k = 0
+        pos = ti * s0 + qj * s1
+        if src == SRC_E:  # D while the cell above continues the E chain
+            while True:
+                k += 1
+                ti -= 1
+                pos -= s0
+                if not (ti >= 0 and lo <= qj - ti <= hi and buf[pos] & X_CONT):
+                    break
+            emit(k, "D")
+        else:  # I while the cell to the left continues the F chain
+            while True:
+                k += 1
+                qj -= 1
+                pos -= s1
+                if not (qj >= 0 and lo <= qj - ti <= hi and buf[pos] & Y_CONT):
+                    break
+            emit(k, "I")
     # One of the coordinates ran off the top/left edge: the rest is gap.
     if qj >= 0:
-        ops_rev.extend("I" * (qj + 1))
+        emit(qj + 1, "I")
     if ti >= 0:
-        ops_rev.extend("D" * (ti + 1))
-    return Cigar.from_ops(reversed(ops_rev))
+        emit(ti + 1, "D")
+    return Cigar(runs[::-1])

@@ -214,15 +214,19 @@ class KernelDispatch:
     batch_buckets:
         Ascending size-bucket caps. ``None`` uses the kernel default.
     path_mem:
-        Byte budget for one batch's direction matrices in path mode;
-        batches are split to stay under it.
+        Byte budget for one batch's direction matrices in path mode: a
+        batch of ``k`` lanes allocates ``k * Mmax * Nmax`` bytes (the
+        sub-batch's largest target and query); batches are split to
+        stay under it.
     lane_max:
         Hard cap on pairs per batched call.
     """
 
-    #: A bucket of cap C only batches with >= max(2, C // min_lane_div)
-    #: lanes; thinner buckets fall back to the per-pair engine.
-    min_lane_div = 96
+    #: A bucket batches only with at least this many lanes; a lone job
+    #: runs on the per-pair engine.  Measured on map-clr's jobs: one
+    #: batched lane costs 0.9-1.5x a per-pair call, two cost 0.5-0.8x
+    #: their per-pair calls, at every bucket cap from 96 to 1536.
+    min_lanes = 2
 
     def __init__(
         self,
@@ -315,10 +319,7 @@ class KernelDispatch:
 
         for cap in sorted(buckets):
             bidxs = buckets[cap]
-            # Per-diagonal sweep cost grows with the bucket's size cap,
-            # so big buckets need enough lanes to amortize it; thin
-            # batches of long pairs run faster per pair.
-            if len(bidxs) < max(2, cap // self.min_lane_div):
+            if len(bidxs) < self.min_lanes:
                 for i in bidxs:
                     _fall(i, "thin_bucket")
                 continue
@@ -331,7 +332,7 @@ class KernelDispatch:
                 bucket=cap,
             ) as sp:
                 cells = 0
-                for sub in self._split(bidxs, cap, path):
+                for sub in self._split(jobs, bidxs, path):
                     out = spec.batch_fn(
                         [jobs[i].target for i in sub],
                         [jobs[i].query for i in sub],
@@ -385,6 +386,7 @@ class KernelDispatch:
                 kernel=spec.name,
                 mode=mode,
                 jobs=len(singles),
+                reasons=fallback_reasons,
             ):
                 for i in singles:
                     results[i] = self._run_single(jobs[i])
@@ -395,14 +397,24 @@ class KernelDispatch:
         bands = [jobs[i].band for i in sub]
         return bands if any(b is not None for b in bands) else None
 
-    def _split(self, bidxs: List[int], cap: int, path: bool) -> List[List[int]]:
-        """Chop a bucket into memory/lane-bounded sub-batches."""
-        per = self.lane_max
-        if path:
-            per = min(per, max(1, self.path_mem // max(1, cap * cap)))
-        if len(bidxs) <= per:
-            return [bidxs]
-        return [bidxs[k : k + per] for k in range(0, len(bidxs), per)]
+    def _split(
+        self, jobs: Sequence[DPJob], bidxs: List[int], path: bool
+    ) -> List[List[int]]:
+        """Chop a bucket, in order, into memory/lane-bounded sub-batches."""
+        subs: List[List[int]] = [[]]
+        m_max = n_max = 0
+        for i in bidxs:
+            m, n = jobs[i].target.size, jobs[i].query.size
+            cur = subs[-1]
+            grown = (len(cur) + 1) * max(m_max, m) * max(n_max, n)
+            if cur and (
+                len(cur) >= self.lane_max or (path and grown > self.path_mem)
+            ):
+                subs.append([])
+                m_max = n_max = 0
+            subs[-1].append(i)
+            m_max, n_max = max(m_max, m), max(n_max, n)
+        return subs
 
     def _run_single(self, job: DPJob) -> AlignmentResult:
         kwargs = {}

@@ -6,10 +6,12 @@ test here pins results against per-pair :func:`align_manymap` while
 checking the ``dispatch.*`` counters that describe the routing.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from repro.align import Scoring, align_manymap
+from repro.align import AlignmentResult, Scoring, align_manymap
 from repro.align.dispatch import (
     DEFAULT_KERNEL,
     DPJob,
@@ -19,6 +21,7 @@ from repro.align.dispatch import (
 )
 from repro.errors import AlignmentError
 from repro.obs.counters import COUNTERS, counter_delta
+from repro.obs.tracing import TRACER
 from repro.seq.alphabet import random_codes
 
 SC = Scoring(match=2, mismatch=4, q=4, e=2)
@@ -105,15 +108,19 @@ class TestRouting:
         assert "dispatch.fallback_jobs" not in delta
 
     def test_min_lane_rule_falls_back(self):
-        # Two jobs landing in a huge bucket: fewer lanes than
-        # max(2, cap // min_lane_div) -> per-pair fallback.
-        cap = 6144
-        assert cap // KernelDispatch.min_lane_div > 2
-        jobs = jobs_of([cap - 10] * 2)
+        # A lone job in its bucket (fewer than min_lanes) runs per pair;
+        # min_lanes jobs batch, whatever the bucket's size cap.
+        assert KernelDispatch.min_lanes == 2
+        jobs = jobs_of([300])
         results, delta = run_counted(KernelDispatch("wavefront", SC), jobs)
         assert_per_pair(results, jobs)
-        assert delta["dispatch.fallback_jobs"] == 2
+        assert delta["dispatch.fallback_jobs"] == 1
         assert "dispatch.batches" not in delta
+        jobs = jobs_of([300] * KernelDispatch.min_lanes)
+        results, delta = run_counted(KernelDispatch("wavefront", SC), jobs)
+        assert_per_pair(results, jobs)
+        assert delta["dispatch.batches"] == 1
+        assert "dispatch.fallback_jobs" not in delta
 
     def test_oversize_jobs_fall_back(self):
         dispatch = KernelDispatch("wavefront", SC, batch_max=96)
@@ -172,6 +179,34 @@ class TestRouting:
         _, delta = run_counted(roomy, jobs)
         assert delta["dispatch.batches"] == 1
 
+    def test_path_mem_budgets_kernel_allocation(self):
+        # The kernel allocates Mmax x Nmax direction bytes per lane, not
+        # cap x cap: 119 extend jobs of up to 722 x 222 in bucket 768
+        # fit the default budget as one batch.
+        lanes = []
+
+        def batch_fn(targets, queries, *rest):
+            lanes.append(len(targets))
+            return [AlignmentResult(score=0, end_t=0, end_q=0) for _ in targets]
+
+        spec = dataclasses.replace(get_kernel("wavefront"), batch_fn=batch_fn)
+        jobs = [
+            DPJob(
+                target=np.zeros(722 - i % 7, dtype=np.uint8),
+                query=np.zeros(222 - i % 5, dtype=np.uint8),
+                mode="extend",
+                path=True,
+                zdrop=400,
+                band=500,
+            )
+            for i in range(119)
+        ]
+        KernelDispatch(spec, SC).run(jobs)
+        assert lanes == [119]
+        lanes.clear()
+        KernelDispatch(spec, SC, path_mem=119 * 722 * 222 - 1).run(jobs)
+        assert lanes == [118, 1]
+
     def test_lane_max_splits_batches(self):
         jobs = jobs_of([20] * 9)
         dispatch = KernelDispatch("wavefront", SC, lane_max=4)
@@ -184,3 +219,21 @@ class TestRouting:
         jobs = jobs_of(sizes, mode="extend")
         results, _ = run_counted(KernelDispatch("wavefront", SC), jobs)
         assert_per_pair(results, jobs)  # mixed batched/fallback ordering
+
+
+class TestFallbackSpan:
+    def test_fallback_span_carries_reasons(self):
+        # A lone 40-base job (thin bucket) and a 200-base one (over
+        # batch_max) fall back; the span names why, like the event.
+        dispatch = KernelDispatch("wavefront", SC, batch_max=96)
+        jobs = jobs_of([20, 20, 40, 200])
+        TRACER.enable()
+        try:
+            with TRACER.capture() as box:
+                results = dispatch.run(jobs)
+        finally:
+            TRACER.disable()
+        assert_per_pair(results, jobs)
+        (span,) = [s for s in box.spans if s["name"] == "kernel.fallback"]
+        assert span["attrs"]["jobs"] == 2
+        assert span["attrs"]["reasons"] == {"thin_bucket": 1, "oversize": 1}

@@ -12,13 +12,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.align import Scoring, align_manymap
+from repro.align import MAP_ONT, MAP_PB, SIMPLE, Scoring, align_manymap
 from repro.align.wavefront_batch import align_wavefront, align_wavefront_batch
 from repro.errors import AlignmentError
 from repro.obs.counters import COUNTERS, counter_delta, drop_shape_dependent
 from repro.seq.alphabet import encode, random_codes
 
 SC = Scoring(match=2, mismatch=4, q=4, e=2)
+#: A mismatch dearer than two gap openings: band-edge cells then take
+#: their score from a gap, and traceback steps off the band.
+GAPPY = Scoring(match=1, mismatch=9, q=1, e=1)
 
 
 def assert_same(got, want, label=""):
@@ -145,6 +148,106 @@ class TestBatchIdentity:
         got = align_wavefront_batch(ts, qs, SC, mode="global", path=True)
         for g, w in zip(got, want):
             assert_same(g, w)
+
+
+@st.composite
+def lane(draw, max_len=48):
+    """One (target, query, band) lane: unrelated, or a mutated copy of
+    the target with an optional divergent tail (to trip z-drop)."""
+    m = draw(st.integers(0, max_len))
+    t = draw(st.lists(st.integers(0, 4), min_size=m, max_size=m))
+    if draw(st.booleans()):
+        n = draw(st.integers(0, max_len))
+        q = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+    else:
+        q = list(t)
+        for pos in draw(st.lists(st.integers(0, max(0, m - 1)), max_size=4)):
+            if pos < len(q):
+                q[pos] = (q[pos] + 1) % 4
+        cut = draw(st.integers(0, m))
+        tail = draw(st.lists(st.integers(0, 3), max_size=max_len - cut))
+        q = q[:cut] + tail
+    band = draw(st.one_of(st.none(), st.integers(0, 12)))
+    return (
+        np.array(t, dtype=np.uint8),
+        np.array(q, dtype=np.uint8),
+        band,
+    )
+
+
+class TestDifferential:
+    """Mixed-shape batches against per-pair manymap, counters included."""
+
+    @given(
+        st.lists(lane(), min_size=1, max_size=12),
+        st.sampled_from([MAP_PB, MAP_ONT, SIMPLE, GAPPY]),
+        st.sampled_from(["global", "extend"]),
+        st.booleans(),
+        st.one_of(st.none(), st.integers(1, 40)),
+        st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_batch_equals_per_pair(self, lanes, scoring, mode, path, zdrop, narrow):
+        if mode == "global":
+            zdrop = None
+        if narrow:  # every query at most one base long: Nmax <= 1
+            lanes = [(t, q[:1], b) for t, q, b in lanes]
+        ts = [t for t, _, _ in lanes]
+        qs = [q for _, q, _ in lanes]
+        bands = [b for _, _, b in lanes]
+        before = COUNTERS.totals()
+        want = []
+        for t, q, band in lanes:
+            kwargs = {"zdrop": zdrop} if zdrop is not None else {}
+            if band is not None:
+                kwargs["band"] = band
+            want.append(
+                align_manymap(t, q, scoring, mode=mode, path=path, **kwargs)
+            )
+        solo = drop_shape_dependent(counter_delta(COUNTERS.totals(), before))
+        before = COUNTERS.totals()
+        got = align_wavefront_batch(
+            ts, qs, scoring, mode=mode, path=path, zdrop=zdrop, bands=bands
+        )
+        batched = drop_shape_dependent(counter_delta(COUNTERS.totals(), before))
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert_same(g, w, f"lane {i} band={bands[i]}")
+        assert batched == solo
+
+    @pytest.mark.parametrize("mode", ["global", "extend"])
+    def test_traceback_off_band_cells(self, mode):
+        """Under GAPPY, narrow-band traceback steps off the corridor; the
+        batch must read those cells as the per-pair kernel leaves them."""
+        pairs = [
+            (random_codes(40 + i, seed=i), random_codes(30 + i, seed=1000 + i))
+            for i in range(40)
+        ]
+        bands = [i % 4 for i in range(40)]
+        got = align_wavefront_batch(
+            [t for t, _ in pairs], [q for _, q in pairs], GAPPY,
+            mode=mode, path=True, bands=bands,
+        )
+        for i, ((t, q), g) in enumerate(zip(pairs, got)):
+            w = align_manymap(t, q, GAPPY, mode=mode, path=True, band=bands[i])
+            assert_same(g, w, f"lane {i}")
+
+    def test_retirement_compacts_mixed_batch(self):
+        """Retired and finished lanes compact away mid-sweep."""
+        pairs = TestZdropRetirement._divergent_pairs(n_pairs=6, tail=200)
+        for i in range(4):
+            clean = random_codes(300 + 20 * i, seed=70 + i)
+            pairs.append((clean, clean[: 280 + 10 * i].copy()))
+        bands = [None, 30, None, 30, None, 30, 40, None, 40, None]
+        want = per_pair(pairs, mode="extend", path=True, zdrop=50, bands=bands)
+        before = COUNTERS.totals()
+        got = align_wavefront_batch(
+            [t for t, _ in pairs], [q for _, q in pairs], SC,
+            mode="extend", path=True, zdrop=50, bands=bands,
+        )
+        delta = counter_delta(COUNTERS.totals(), before)
+        assert delta["wavefront.lanes_retired"] >= 6  # > half: compacts
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert_same(g, w, f"lane {i}")
 
 
 class TestZdropRetirement:
