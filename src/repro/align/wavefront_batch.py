@@ -133,14 +133,6 @@ class _Schedule:
         self.r0 = r0
         rr = np.arange(r0, R, dtype=np.int32)[:, None]
         st, en = _corridor(rr, m, n, lo, hi)
-        length = en - st + 1
-        np.maximum(length, 0, out=length)
-        self.length = length
-        act = length > 0
-        stp = st - rr + Nmax
-        self.nact: List[int] = act.sum(axis=1).tolist()
-        self.cmin: List[int] = np.where(act, stp, Nmax + 1).min(axis=1).tolist()
-        self.cmax: List[int] = np.where(act, stp + length - 1, -1).max(axis=1).tolist()
         self.uy = self.vx = None
         if banded:
             ut = (rr - lo) // 2
@@ -150,6 +142,22 @@ class _Schedule:
             vt = (rr - hi) // 2
             ok = ((rr - hi) % 2 == 0) & (vt >= st) & (vt <= en) & (vt >= 1)
             self.vx = self._events(ok, vt - rr + Nmax)
+        # In place from here on: (R, B) tables of non-path batches of
+        # long jobs are as large as the H array.
+        length = en
+        length -= st
+        length += 1
+        np.maximum(length, 0, out=length)
+        self.length = length
+        idle = length == 0
+        self.nact: List[int] = (~idle).sum(axis=1).tolist()
+        stp = st
+        stp -= rr - Nmax  # first t'' column
+        stp[idle] = Nmax + 1
+        self.cmin: List[int] = stp.min(axis=1).tolist()
+        stp += length - 1  # last t'' column
+        stp[idle] = -1
+        self.cmax: List[int] = stp.max(axis=1).tolist()
 
     @staticmethod
     def _events(ok, cols):
@@ -300,8 +308,8 @@ def align_wavefront_batch(
         D = np.zeros((Mmax * Nmax, B), dtype=np.uint8)
 
     best = np.full(B, neg, dtype=np.int32)
-    bt = np.zeros(B, dtype=np.int64)
-    bq = np.zeros(B, dtype=np.int64)
+    bt = np.zeros(B, dtype=np.int64)  # best cell: target index ...
+    br = np.zeros(B, dtype=np.int64)  # ... and diagonal
     cells = np.zeros(B, dtype=np.int64)
     zdropped = np.zeros(B, dtype=bool)
     alive = np.ones(B, dtype=bool)
@@ -329,7 +337,7 @@ def align_wavefront_batch(
                 end_t, end_q = mb - 1, nb - 1
             else:
                 score = int(best[b])
-                end_t, end_q = int(bt[b]), int(bq[b])
+                end_t, end_q = int(bt[b]), int(br[b] - bt[b])
             cigar = None
             if path:
                 band = (int(lo[b]), int(hi[b])) if band_arr[b] >= 0 else None
@@ -426,14 +434,12 @@ def align_wavefront_batch(
                 dmax = Hm.max(axis=0) + neg
                 upd = dmax > best
                 if upd.any():
-                    rows = np.flatnonzero(upd)
                     # Ties take the largest t (first max of the t-descending
                     # per-pair scan) — i.e. the last occurrence here.
-                    kk = (L - 1) - np.argmax(Hm[::-1, rows], axis=0)
-                    tb_new = kk + t_lo
-                    best[rows] = dmax[rows]
-                    bt[rows] = tb_new
-                    bq[rows] = r - tb_new
+                    last = np.argmax(Hm[::-1], axis=0)
+                    np.copyto(best, dmax, where=upd)
+                    np.copyto(bt, t_lo + L - 1 - last, where=upd)
+                    br[upd] = r
                 if zdrop is not None:
                     zd = (best - dmax > zdrop) & (length > 0)
                     if zd.any():
@@ -444,7 +450,6 @@ def align_wavefront_batch(
                         lanes_retired += rows.size
                         harvest(rows.tolist())
                         sched.retire(r, rows)
-                        q_ok[:, rows] = False
 
         done = [b for b in fin_at.get(r, ()) if alive[b]]
         if done:
@@ -465,7 +470,7 @@ def align_wavefront_batch(
                     d_ok = d_ok[:, :, keep]
             U, Y, V, X = U[:, keep], Y[:, keep], V[:, keep], X[:, keep]
             HP = HP[:, :, keep]
-            best, bt, bq, cells = best[keep], bt[keep], bq[keep], cells[keep]
+            best, bt, br, cells = best[keep], bt[keep], br[keep], cells[keep]
             zdropped, orig = zdropped[keep], orig[keep]
             if path:
                 # In place, in row blocks: no second direction buffer.
