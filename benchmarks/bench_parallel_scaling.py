@@ -1,14 +1,13 @@
-"""Parallel scaling: reads/sec vs workers for every mapping backend.
+"""Parallel scaling: reads/sec vs workers for both mapping backends.
 
-Measures the serial, thread-pool, process-pool, and streaming-pipeline
-backends over the same simulated read set and asserts they produce
+Measures the serial backend and the processes pipeline (1, 2, 4
+workers) over the same simulated read set and asserts they produce
 identical alignments.
 This is the repo's CPython analogue of the paper's §4.4 scalability
-runs (Figure 9): the thread backend is GIL-bound outside NumPy kernels
-while the process backend runs one full aligner per core over an
-mmap-shared index, so on a multi-core machine the two curves cross
-almost immediately — processes should reach >= 2x the thread backend's
-reads/sec at 4 workers on >= 4 cores.
+runs (Figure 9): the processes backend runs one full aligner per core
+over an mmap-shared index behind an overlapped read/compute/write
+pipeline, so it should reach >= 2x the serial backend's reads/sec at
+4 workers on >= 4 cores.
 
 Run standalone (CI smoke mode stays well under a minute):
 
@@ -49,12 +48,14 @@ def _workload(smoke: bool, n_reads: Optional[int] = None):
     )
     sim = ReadSimulator.preset(genome, "pacbio")
     # The smoke set must stay big enough that a 4-worker process pool's
-    # spin-up (fork + per-worker mmap rebuild) is well amortized, or the
-    # CI >= 2x-over-threads gate would be startup-noise flaky.
+    # spin-up (fork + per-worker mmap rebuild) is well amortized and
+    # every worker gets two default-size (32-read) chunks; smaller
+    # chunks lose the cross-read DP batching the serial loop keeps, and
+    # the CI >= 2x-over-serial gate would measure that loss instead.
     sim.length_model = LengthModel(
         mean=900.0 if smoke else 1500.0, sigma=0.4, max_length=4000
     )
-    reads = sim.simulate(n_reads or (24 if smoke else 48), seed=71)
+    reads = sim.simulate(n_reads or (256 if smoke else 512), seed=71)
     return genome, list(reads)
 
 
@@ -79,7 +80,7 @@ def run_scaling(
     baseline_rps: Optional[float] = None
     identical = True
     try:
-        for backend in ("serial", "threads", "processes", "streaming"):
+        for backend in ("serial", "processes"):
             counts = [1] if backend == "serial" else list(worker_counts)
             for workers in counts:
                 t0 = time.perf_counter()
@@ -89,7 +90,6 @@ def run_scaling(
                     backend=backend,
                     workers=workers,
                     with_cigar=True,
-                    chunk_reads=3,
                     index_path=str(index_path),
                 )
                 seconds = time.perf_counter() - t0
@@ -126,10 +126,10 @@ def run_scaling(
         "worker_counts": list(worker_counts),
         "identical_paf": identical,
         "rows": rows,
-        "process_over_thread_at_max": round(
+        "process_over_serial_at_max": round(
             ratio(
                 by_bw.get(("processes", max_workers), 0.0),
-                by_bw.get(("threads", max_workers), 0.0),
+                by_bw.get(("serial", 1), 0.0),
             ),
             3,
         ),
@@ -143,8 +143,8 @@ def run_scaling(
         )
     table.append(
         f"\nidentical PAF across backends/workers: {identical}"
-        f"\nprocesses/threads reads-per-sec ratio at {max_workers} workers: "
-        f"{result['process_over_thread_at_max']:.2f}x "
+        f"\nprocesses/serial reads-per-sec ratio at {max_workers} workers: "
+        f"{result['process_over_serial_at_max']:.2f}x "
         f"({os.cpu_count()} CPU core(s) visible)"
     )
     emit("BENCH_parallel_scaling", "\n".join(table))
@@ -165,9 +165,9 @@ def test_parallel_scaling_smoke():
     assert res["identical_paf"], "backends disagreed on alignments"
     assert (RESULTS_DIR / JSON_NAME).exists()
     if (os.cpu_count() or 1) >= 4:
-        assert res["process_over_thread_at_max"] >= 2.0, (
-            "process backend should be >= 2x the thread backend at 4 "
-            f"workers on >= 4 cores, got {res['process_over_thread_at_max']}x"
+        assert res["process_over_serial_at_max"] >= 2.0, (
+            "process backend should be >= 2x the serial backend at 4 "
+            f"workers on >= 4 cores, got {res['process_over_serial_at_max']}x"
         )
 
 
@@ -186,10 +186,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     if not res["identical_paf"]:
         print("ERROR: backends produced different alignments", file=sys.stderr)
         return 1
-    edge = res["process_over_thread_at_max"]
+    edge = res["process_over_serial_at_max"]
     if (os.cpu_count() or 1) >= 4 and max(counts) >= 4 and edge < 2.0:
         print(
-            f"ERROR: process backend only {edge:.2f}x the thread backend "
+            f"ERROR: process backend only {edge:.2f}x the serial backend "
             f"at {max(counts)} workers on a >=4-core machine (want >= 2x)",
             file=sys.stderr,
         )

@@ -15,7 +15,7 @@ two convenience calls, and a handful of value objects::
     # the classic one-shot facade — now thin clients of the same
     # session object:
     aligner = repro.open_index("ref.fa", "ref.mmi")
-    opts = repro.MapOptions(backend="streaming", workers=4)
+    opts = repro.MapOptions(backend="processes", workers=4)
     results = repro.api.map_reads(aligner, reads, opts)
     with open("out.paf", "w") as out:
         stats = repro.api.map_file(aligner, "reads.fq.gz", out, opts)
@@ -26,8 +26,8 @@ request/response model shared by the one-shot path, the Python facade,
 and the ``repro serve`` front-end (:mod:`repro.serve`);
 :class:`ServeConfig` is the serving-shape companion (batching,
 admission, tenancy). Backends resolve through the registry in
-:mod:`repro.runtime.backends`, so ``MapOptions(backend=...)`` accepts
-exactly what the CLI's ``--backend`` flag does.
+:mod:`repro.runtime.backends`: ``serial``, or ``processes`` (what the
+CLI's ``-p N`` selects for N > 1).
 
 This module is covered by an API-surface snapshot test
 (``tests/core/test_api.py``): changing a public name or signature here
@@ -82,18 +82,15 @@ class MapOptions:
     """Every knob of a mapping run, in one replaceable value object.
 
     ``backend`` — a :func:`repro.runtime.backends.backend_names` entry
-    (``serial`` / ``threads`` / ``processes`` / ``streaming``).
-    ``workers`` — pool width (ignored by ``serial``).
-    ``chunk_reads`` / ``chunk_bases`` — scheduling-chunk bounds (the
-    process and streaming backends; also sizes :func:`map_file`'s
-    bounded batches on the batch backends, so it caps memory
-    everywhere).
+    (``serial`` / ``processes``).
+    ``workers`` — process count (ignored by ``serial``; one worker
+    runs the serial loop on either backend).
+    ``chunk_reads`` / ``chunk_bases`` — scheduling-chunk bounds of the
+    processes pipeline, whose look-ahead window is ``chunk_reads ×
+    workers × 4`` reads; also sizes :func:`map_file`'s bounded serial
+    batches, so it caps memory everywhere.
     ``longest_first`` — LPT submission order (§4.4.4); never affects
     output order.
-    ``window_reads`` / ``queue_chunks`` — streaming look-ahead window
-    and queue capacity (backpressure).
-    ``stream_processes`` — back the streaming pipeline's compute
-    workers with a process pool (mmap-shared index) instead of threads.
     ``index_path`` — serialized index for process workers to mmap;
     defaults to the path recorded by :func:`open_index`.
     ``fault_policy`` — a :class:`repro.runtime.faults.FaultPolicy`
@@ -149,9 +146,6 @@ class MapOptions:
     longest_first: bool = True
     chunk_reads: int = 32
     chunk_bases: int = 1_000_000
-    window_reads: int = 256
-    queue_chunks: int = 8
-    stream_processes: bool = False
     index_path: Optional[str] = None
     kernel: Optional[str] = None
     batch_max: Optional[int] = None
@@ -173,8 +167,7 @@ class MapOptions:
     def validated(self) -> "MapOptions":
         """Self, after checking every field; raises SchedulerError."""
         _backends.get_backend(self.backend)
-        for name in ("workers", "chunk_reads", "chunk_bases",
-                     "window_reads", "queue_chunks"):
+        for name in ("workers", "chunk_reads", "chunk_bases"):
             if getattr(self, name) < 1:
                 raise SchedulerError(
                     f"{name} must be >= 1: {getattr(self, name)}"
@@ -833,14 +826,14 @@ class MappingSession:
         """Map a FASTA/FASTQ(.gz) file, writing PAF (or SAM) as it goes.
 
         Every backend consumes the file through the shared streaming
-        reader (:func:`repro.seq.fasta.iter_reads`): the ``streaming``
-        backend runs the full overlapped pipeline with constant memory;
-        the batch backends read bounded batches of
-        ``chunk_reads × workers × 4`` reads at a time, so
-        ``chunk_reads`` bounds memory on every backend. Output lines
-        are written strictly in input order either way, so the bytes
-        are identical across backends. Returns the run's
-        :class:`StreamStats`.
+        reader (:func:`repro.seq.fasta.iter_reads`): ``processes`` with
+        more than one worker runs the overlapped pipeline
+        (:func:`repro.runtime.streaming.stream_map`) with constant
+        memory; one worker maps bounded batches of ``chunk_reads × 4``
+        reads at a time, so ``chunk_reads`` bounds memory on every
+        backend. Output lines are written strictly in input order
+        either way, so the bytes are identical across backends.
+        Returns the run's :class:`StreamStats`.
 
         With ``options.run_dir`` the run is durable: output goes to
         ``RUN_DIR/output.paf`` through the write-ahead journal
@@ -946,7 +939,7 @@ class MappingSession:
 
         aligner = self.aligner
         write_header()
-        if opts.backend == "streaming":
+        if opts.backend == "processes" and opts.workers > 1:
             with _live_plane(opts, telemetry, traces=traces), \
                     journal_events(journal):
                 stats = stream_map(
@@ -954,13 +947,10 @@ class MappingSession:
                     source,
                     emit,
                     workers=opts.workers,
-                    use_processes=opts.stream_processes,
                     with_cigar=opts.with_cigar,
                     longest_first=opts.longest_first,
                     chunk_reads=opts.chunk_reads,
                     chunk_bases=opts.chunk_bases,
-                    window_reads=opts.window_reads,
-                    queue_chunks=opts.queue_chunks,
                     index_path=opts.index_path,
                     profile=profile,
                     telemetry=telemetry,
@@ -969,7 +959,7 @@ class MappingSession:
             _finish_faults(opts, telemetry)
             return stats
 
-        # Batch backends: bounded batches through the same reader path.
+        # One worker: bounded serial batches through the same reader.
         from contextlib import nullcontext
 
         def stage(name):

@@ -109,28 +109,6 @@ def _trace_config(args: argparse.Namespace):
     )
 
 
-def _resolve_map_backend(args: argparse.Namespace):
-    """Map CLI flags to ``(backend, workers, stream_processes)``.
-
-    ``--backend`` wins outright; ``--stream`` is shorthand for
-    ``--backend streaming``; otherwise ``-p``/``-t`` pick processes or
-    threads as before. Under the streaming backend ``-p N`` selects
-    process-backed compute workers.
-    """
-    if args.stream and args.backend and args.backend != "streaming":
-        return None
-    backend = args.backend or ("streaming" if args.stream else None)
-    workers = max(args.threads, args.processes)
-    if backend is None:
-        if args.processes > 1:
-            backend = "processes"
-        elif args.threads > 1:
-            backend = "threads"
-        else:
-            backend, workers = "serial", 1
-    return backend, workers, args.processes > 1
-
-
 def _cmd_map(args: argparse.Namespace) -> int:
     from .api import MapOptions, map_file, open_index
     from .core.profiling import PipelineProfile
@@ -139,11 +117,8 @@ def _cmd_map(args: argparse.Namespace) -> int:
     from .obs.telemetry import Telemetry
 
     log = get_logger("cli")
-    if args.threads > 1 and args.processes > 1:
-        log.error("use either --threads or --processes, not both")
-        return 2
-    if args.threads < 1 or args.processes < 1 or args.chunk_reads < 1:
-        log.error("--threads, --processes and --chunk-reads must be >= 1")
+    if args.processes < 1 or args.chunk_reads < 1:
+        log.error("--processes and --chunk-reads must be >= 1")
         return 2
     if args.commit_reads < 1:
         log.error("--commit-reads must be >= 1")
@@ -151,11 +126,8 @@ def _cmd_map(args: argparse.Namespace) -> int:
     if args.resume and not args.run_dir:
         log.error("--resume needs --run-dir (or use `manymap resume DIR`)")
         return 2
-    resolved = _resolve_map_backend(args)
-    if resolved is None:
-        log.error("--stream conflicts with --backend %s", args.backend)
-        return 2
-    backend, workers, stream_processes = resolved
+    workers = args.processes
+    backend = "processes" if workers > 1 else "serial"
 
     policy = None
     if (
@@ -208,7 +180,6 @@ def _cmd_map(args: argparse.Namespace) -> int:
         workers=workers,
         with_cigar=not args.no_cigar,
         chunk_reads=args.chunk_reads,
-        stream_processes=stream_processes,
         kernel=args.kernel,
         fault_policy=policy,
         progress_interval=args.progress,
@@ -250,7 +221,7 @@ def _cmd_map(args: argparse.Namespace) -> int:
     try:
         # Every backend consumes the reads file through the same
         # bounded iterator inside map_file, so --chunk-reads caps
-        # memory whether or not --stream is in play.
+        # memory at any -p.
         with out_cm as out:
             stats = map_file(
                 aligner,
@@ -342,7 +313,6 @@ def _cmd_map(args: argparse.Namespace) -> int:
                 "chunk_reads": args.chunk_reads,
                 "with_cigar": not args.no_cigar,
                 "sam": bool(args.sam),
-                "stream_processes": stream_processes,
                 "on_error": args.on_error,
                 "max_retries": args.max_retries,
                 "read_timeout": args.read_timeout,
@@ -678,7 +648,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     from .obs.logs import LOG_LEVELS
-    from .runtime.backends import backend_names
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
@@ -723,24 +692,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--engine is manymap). Output is identical either way.",
     )
     pm.add_argument(
-        "--backend",
-        default=None,
-        choices=list(backend_names()),
-        help="execution backend (default: inferred from -t/-p)",
-    )
-    pm.add_argument(
-        "--stream",
-        action="store_true",
-        help="shorthand for --backend streaming: overlapped "
-        "read/compute/write pipeline with constant memory",
-    )
-    pm.add_argument("-t", "--threads", type=int, default=1, help="mapping threads")
-    pm.add_argument(
         "-p",
         "--processes",
         type=int,
         default=1,
-        help="mapping worker processes (mmap-shared index; bypasses the GIL)",
+        help="mapping worker processes: above 1, an overlapped "
+        "read/compute/write pipeline over an mmap-shared index",
     )
     pm.add_argument(
         "--chunk-reads",

@@ -185,8 +185,8 @@ class ParallelDriver(BatchDriver):
     """Batch driver running any registered execution backend.
 
     Backends resolve through the registry in
-    :mod:`repro.runtime.backends` (``serial`` / ``threads`` /
-    ``processes`` / ``streaming``); pass either the legacy keyword
+    :mod:`repro.runtime.backends` (``serial`` / ``processes``); pass
+    either the legacy keyword
     arguments or a prebuilt :class:`repro.api.MapOptions` via
     ``options`` (which wins over the individual kwargs).
 

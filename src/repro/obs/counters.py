@@ -40,7 +40,7 @@ __all__ = [
 #: itself.  The cross-read wavefront kernel's occupancy and padding
 #: telemetry varies with bucket packing, so cross-backend identity
 #: checks must exclude these; everything else is byte-stable across
-#: serial/threads/processes/streaming.  ``events.`` rides along: ring
+#: serial and processes.  ``events.`` rides along: ring
 #: evictions (``events.dropped``) depend on how many diagnostic events
 #: each backend emits and on how full the ring already is.
 SHAPE_DEPENDENT_PREFIXES = ("wavefront.", "dispatch.", "events.")

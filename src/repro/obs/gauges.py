@@ -9,7 +9,7 @@ scheduling, not the workload), so they live in their own registry and
 are reported in the ``--metrics`` manifest under a separate ``gauges``
 key instead of being folded into the counter totals.
 
-The streaming backend (:mod:`repro.runtime.streaming`) is the primary
+The processes pipeline (:mod:`repro.runtime.streaming`) is the primary
 writer: its reader / compute / writer stages record queue-depth
 high-water marks and cumulative stall seconds, which is how
 ``map --metrics`` shows the paper's Fig. 11 overlap story (a stage

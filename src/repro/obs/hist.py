@@ -20,7 +20,7 @@ never per cell), best-effort :meth:`~HistogramRegistry.totals` while
 threads run, exact at quiescence. Worker processes snapshot around each
 chunk and ship the delta; the parent folds it in with
 :meth:`~HistogramRegistry.merge`, so merged buckets are identical
-across the serial/threads/processes/streaming backends for
+across the serial and processes backends for
 deterministic quantities (read length, band width). Latency histograms
 share bucket *names* across backends but their bucket contents are
 wall-clock-dependent by nature; only their total count is invariant.

@@ -31,7 +31,7 @@ a scrape job configured for one works unchanged against the other.
 Requests *sample* the same lock-free shards the heartbeat samples; the
 mapping hot path is never touched, so scraping cannot slow a run (the
 overhead gate in ``benchmarks/bench_metrics_smoke.py`` holds this to
-<=2%). Works on all four backends: the process backends already merge
+<=2%). Works on both backends: the processes pipeline already merges
 worker counter/histogram deltas into the parent registries per
 completed chunk, so mid-run samples see live totals, not end-of-run
 ones.

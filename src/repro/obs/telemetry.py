@@ -93,7 +93,7 @@ class Telemetry:
         self.run_id = run_id or uuid.uuid4().hex
         self.spans: List[Dict] = []
         #: execution-machinery gauges (queue depths, stall seconds);
-        #: populated by the streaming backend, surfaced in ``--metrics``.
+        #: populated by the processes pipeline, surfaced in ``--metrics``.
         self.gauges = GaugeSet()
         #: faults the run's :class:`~repro.runtime.faults.FaultPolicy`
         #: absorbed (quarantines / watchdog fallbacks), one
@@ -142,8 +142,8 @@ class Telemetry:
     def record_faults(self, faults: List) -> None:
         """Collect fault records shipped home with backend results.
 
-        This is the parent-side choke point on every backend (serial,
-        threads, processes, streaming), so it also emits one ``fault``
+        This is the parent-side choke point on both backends (serial
+        and processes), so it also emits one ``fault``
         event per record onto the global bus — worker-process buses are
         process-local, but the fault stream still reaches the parent's
         ``/events`` ring and JSONL sink this way.

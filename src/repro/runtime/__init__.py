@@ -3,14 +3,13 @@
 Two kinds of components live here:
 
 * **Real executors** — :mod:`backends` (the backend registry, single
-  source of truth for backend names), :mod:`streaming` (the
-  overlapped read→compute→write pipeline over bounded queues, the
-  runnable §4.4.4), :mod:`parallel` (legacy backend-selectable batch
-  mapping: serial / threads / processes), :mod:`procpool` (the
-  multi-process backend with an mmap-shared index and longest-first
-  streaming chunks), :mod:`threaded` (a generic 3-stage threading
-  pipeline) and :mod:`mmio` (buffered vs ``mmap`` file loading,
-  genuinely measurable).
+  source of truth for the two backend names, ``serial`` and
+  ``processes``), :mod:`streaming` (the one parallel mapper: an
+  overlapped read→compute→write pipeline over bounded queues with
+  longest-first windows, the runnable §4.4.4), :mod:`procpool` (its
+  process workers over an mmap-shared index, plus the serial loop)
+  and :mod:`mmio` (buffered vs ``mmap`` file loading, genuinely
+  measurable).
 * **Discrete-event simulators** — :mod:`scheduler` (multi-thread
   makespan with hyper-thread contention, Figure 9), :mod:`affinity`
   (compact/scatter/optimized placement, Figure 10), :mod:`pipeline`
@@ -24,7 +23,6 @@ from .scheduler import simulate_makespan, lpt_makespan
 from .pipeline import PipelineStageCost, simulate_pipeline
 from .gpu_streams import StreamScheduler, KernelTask, MemoryPool
 from .mmio import load_bytes_buffered, load_bytes_mmap
-from .threaded import ThreadedPipeline
 from .backends import (
     BackendSpec,
     backend_names,
@@ -33,8 +31,6 @@ from .backends import (
     register_backend,
 )
 from .streaming import StreamStats, map_reads_streaming, stream_map
-from .parallel import BACKENDS, parallel_map_reads
-from .procpool import ChunkPlan, plan_chunks
 
 __all__ = [
     "make_batches",
@@ -53,7 +49,6 @@ __all__ = [
     "MemoryPool",
     "load_bytes_buffered",
     "load_bytes_mmap",
-    "ThreadedPipeline",
     "BackendSpec",
     "backend_names",
     "dispatch",
@@ -62,8 +57,4 @@ __all__ = [
     "StreamStats",
     "map_reads_streaming",
     "stream_map",
-    "BACKENDS",
-    "parallel_map_reads",
-    "ChunkPlan",
-    "plan_chunks",
 ]

@@ -1,11 +1,12 @@
 """Execution-backend registry: the single source of truth.
 
-Every place that needs to know which mapping backends exist — the
-legacy :data:`repro.runtime.parallel.BACKENDS` tuple, the CLI's
-``--backend`` choices, error messages, and the
+Every place that needs to know which mapping backends exist — error
+messages, :meth:`repro.api.MapOptions.validated` and the
 :func:`repro.api.map_reads` dispatch — reads this registry, so adding
 a backend is a one-file change: call :func:`register_backend` (or add
-one entry to ``_BUILTINS`` here) and every surface picks it up.
+one entry to ``_BUILTINS`` here) and every surface picks it up. Two
+are built in: ``serial`` and ``processes`` (the parallel pipeline of
+:mod:`repro.runtime.streaming` over a process pool).
 
 A backend is a factory with the uniform signature::
 
@@ -87,8 +88,7 @@ def dispatch(aligner, reads, options, profile=None, telemetry=None):
 
 # --------------------------------------------------------------------- #
 # Built-in backends. Factories import their implementation lazily so
-# importing the registry (e.g. for --backend choices) stays cheap and
-# cycle-free.
+# importing the registry stays cheap and cycle-free.
 
 
 def _fault_policy(options):
@@ -111,55 +111,20 @@ def _serial(aligner, reads, options, profile, telemetry):
     )
 
 
-def _threads(aligner, reads, options, profile, telemetry):
-    from .parallel import parallel_map_reads
-
-    return parallel_map_reads(
-        aligner,
-        reads,
-        threads=options.workers,
-        with_cigar=options.with_cigar,
-        longest_first=options.longest_first,
-        chunk_reads=options.chunk_reads,
-        chunk_bases=options.chunk_bases,
-        profile=profile,
-        telemetry=telemetry,
-        fault_policy=_fault_policy(options),
-    )
-
-
 def _processes(aligner, reads, options, profile, telemetry):
-    from .procpool import _map_reads_processes
-
-    return _map_reads_processes(
-        aligner,
-        reads,
-        processes=options.workers,
-        with_cigar=options.with_cigar,
-        longest_first=options.longest_first,
-        chunk_reads=options.chunk_reads,
-        chunk_bases=options.chunk_bases,
-        index_path=options.index_path,
-        profile=profile,
-        telemetry=telemetry,
-        fault_policy=_fault_policy(options),
-    )
-
-
-def _streaming(aligner, reads, options, profile, telemetry):
     from .streaming import map_reads_streaming
 
+    reads = list(reads)
+    if options.workers == 1 or len(reads) <= 1:
+        return _serial(aligner, reads, options, profile, telemetry)
     return map_reads_streaming(
         aligner,
         reads,
         workers=options.workers,
-        use_processes=options.stream_processes,
         with_cigar=options.with_cigar,
         longest_first=options.longest_first,
         chunk_reads=options.chunk_reads,
         chunk_bases=options.chunk_bases,
-        window_reads=options.window_reads,
-        queue_chunks=options.queue_chunks,
         index_path=options.index_path,
         profile=profile,
         telemetry=telemetry,
@@ -168,13 +133,12 @@ def _streaming(aligner, reads, options, profile, telemetry):
 
 
 _BUILTINS = (
-    ("serial", _serial, "single-threaded loop (profiling baseline)"),
-    ("threads", _threads, "thread pool; overlaps inside NumPy kernels"),
-    ("processes", _processes, "process pool over an mmap-shared index"),
+    ("serial", _serial, "single-process loop (profiling baseline)"),
     (
-        "streaming",
-        _streaming,
-        "overlapped read/compute/write pipeline over bounded queues",
+        "processes",
+        _processes,
+        "overlapped read/compute/write pipeline over a process pool "
+        "sharing one mmap'd index",
     ),
 )
 

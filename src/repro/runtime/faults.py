@@ -349,10 +349,10 @@ class PoolSupervisor:
     again after every break); ``task`` is the picklable chunk function
     (:func:`repro.runtime.procpool._map_chunk`) taking one payload
     ``(chunk_id, indices, reads)`` and returning the 7-tuple chunk
-    result. Thread-safe: the streaming backend calls :meth:`run_chunk`
-    from several worker threads at once; isolation runs take an
-    exclusive turn so a concurrent crash of an unrelated chunk is
-    never blamed on the read under suspicion.
+    result. Thread-safe: the pipeline's compute threads call
+    :meth:`run_chunk` at once; isolation runs take an exclusive turn
+    so a concurrent crash of an unrelated chunk is never blamed on the
+    read under suspicion.
     """
 
     def __init__(
@@ -374,26 +374,20 @@ class PoolSupervisor:
         self._exclusive = False
 
     @property
-    def pool(self):
-        """The current executor (batch submit loops go through this)."""
-        with self._cond:
-            return self._pool
-
-    @property
     def respawns(self) -> int:
         with self._cond:
             return self._respawns
 
-    @property
-    def generation(self) -> int:
-        """Current pool generation (bumped on every respawn)."""
-        with self._cond:
-            return self._gen
-
     def shutdown(self) -> None:
+        """Stop the pool and join its processes.
+
+        Callers shut down once every :meth:`run_chunk` has returned, so
+        no worker is busy and the join is short; joining here means no
+        worker outlives the run (nor its ``RUSAGE_CHILDREN`` peak).
+        """
         with self._cond:
             pool = self._pool
-        pool.shutdown(wait=False, cancel_futures=True)
+        pool.shutdown(wait=True, cancel_futures=True)
 
     # -- crash handling ------------------------------------------------ #
 
@@ -401,9 +395,8 @@ class PoolSupervisor:
         """React to a broken pool: respawn within budget or raise.
 
         ``token`` is the ``(generation, exception)`` pair returned by
-        :meth:`_submit_and_wait` (or built by a batch caller from the
-        pool generation it submitted against). Generation-checked so N
-        threads observing the same break respawn the pool once.
+        :meth:`_submit_and_wait`. Generation-checked so N threads
+        observing the same break respawn the pool once.
         """
         gen, exc = token
         with self._cond:

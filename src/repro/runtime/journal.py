@@ -46,10 +46,9 @@ re-map after a crash (mapping is deterministic and side-effect free);
 output bytes are never re-trusted without their CRC.
 
 The output choke point is :meth:`RunJournal.write_text` /
-:meth:`RunJournal.read_done`: every backend (serial / threads /
-processes / streaming) emits its in-input-order PAF lines through
-:func:`repro.api.map_file`'s ``emit`` callback, so journaling that one
-sink covers all four. Chaos points (:mod:`repro.testing.chaos`) are
+:meth:`RunJournal.read_done`: both backends (serial / processes) emit
+their in-input-order PAF lines through :func:`repro.api.map_file`'s
+``emit`` callback, so journaling that one sink covers both. Chaos points (:mod:`repro.testing.chaos`) are
 planted at every write/fsync step; the chaos harness SIGKILLs there
 and asserts resume identity.
 """

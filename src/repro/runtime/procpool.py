@@ -1,122 +1,51 @@
-"""Process-parallel mapping: every core runs the full aligner (§4.4).
+"""The worker side of process-parallel mapping, and the serial loop (§4.4).
 
 The paper's macro speedups come from keeping *all* hardware threads
 busy on the whole pipeline (40 CPU / 256 KNL threads), not from
-parallelizing one kernel. CPython's GIL caps the thread backend at
-whatever fraction of the work sits inside NumPy, so the real-multicore
-path is ``multiprocessing`` — with two refinements lifted straight
-from the paper:
+parallelizing one kernel. CPython's GIL caps threads at whatever
+fraction of the work sits inside NumPy, so the real-multicore path is
+``multiprocessing``: the parallel pipeline
+(:func:`repro.runtime.streaming.stream_map`) hands chunks to a pool of
+processes whose task is :func:`_map_chunk` here.
 
 * **Zero-copy index sharing (§4.4.2).** Workers never receive the
-  minimizer index through a pickle. Each worker process rebuilds its
-  :class:`~repro.core.aligner.Aligner` from the *serialized index
-  file* opened in ``mode='mmap'``, so every worker's index arrays are
-  demand-paged views of the same page-cache copy — the same trick that
-  halved manymap's KNL index-load time, reused here to make worker
-  start-up O(1) in index size.
-* **Longest-first streaming batches (§4.4.4).** Reads are packed into
-  size-bounded chunks (bounded in both read count and total bases),
-  the chunks are dispatched longest-first (LPT scheduling), and only a
-  bounded window of chunks is in flight at any moment, so arbitrarily
-  long read streams map in bounded memory. Results are reassembled in
-  input order regardless of completion order.
+  minimizer index through a pickle. :func:`_init_worker` rebuilds each
+  worker's :class:`~repro.core.aligner.Aligner` from the *serialized
+  index file* opened in ``mode='mmap'``, so every worker's index
+  arrays are demand-paged views of the same page-cache copy — the same
+  trick that halved manymap's KNL index-load time, reused here to make
+  worker start-up O(1) in index size.
+* **Telemetry shipping.** Each chunk result carries the worker's Seed
+  & Chain / Align seconds, its counter and histogram deltas (snapshots
+  of its process-local registries before vs after the chunk) and —
+  when tracing is enabled — one span per read, so the parent merges
+  them into totals and traces that match the serial backend's.
 
-Each worker times its own Seed & Chain / Align stages; the parent
-merges the per-worker timers so :class:`~repro.core.driver.ParallelDriver`
-keeps the paper's five-stage breakdown (as aggregate worker seconds).
-Telemetry travels the same road: every chunk result carries the
-worker's counter delta (snapshot of its process-local registry before
-vs after the chunk) and — when tracing is enabled — one span per read,
-so counter totals and traces are complete and backend-independent.
+:func:`_map_serial` is the one-process loop behind ``backend="serial"``
+and any one-worker run, with the same stage and telemetry accounting.
 """
 
 from __future__ import annotations
 
 import os
-import tempfile
+import threading
+import time
 import traceback
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    BrokenExecutor,
-    Future,
-    ProcessPoolExecutor,
-    wait,
-)
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.aligner import Aligner, AlignerConfig
 from ..core.alignment import Alignment
 from ..errors import SchedulerError
-from ..index.store import load_index, save_index
+from ..index.store import load_index
 from ..obs.counters import COUNTERS, counter_delta
-from ..obs.events import EVENTS
 from ..obs.hist import HISTOGRAMS, hist_delta
-from ..obs.logs import current_level_name, set_run_id, setup_logging
+from ..obs.logs import set_run_id, setup_logging
 from ..obs.telemetry import Telemetry, read_span
 from ..seq.genome import Genome
 from ..seq.records import SeqRecord
-from .faults import (
-    FaultPolicy,
-    FaultRecord,
-    PoolSupervisor,
-    map_chunk_reads,
-    map_one_read,
-)
+from .faults import FaultPolicy, FaultRecord, map_chunk_reads, map_one_read
 
-__all__ = [
-    "ChunkPlan",
-    "plan_chunks",
-]
-
-
-# --------------------------------------------------------------------- #
-# Chunk planning
-
-
-@dataclass(frozen=True)
-class ChunkPlan:
-    """One unit of work: positions into the original read list."""
-
-    indices: Tuple[int, ...]
-    bases: int
-
-
-def plan_chunks(
-    reads: Sequence[SeqRecord],
-    chunk_reads: int = 32,
-    chunk_bases: int = 1_000_000,
-    longest_first: bool = True,
-) -> List[ChunkPlan]:
-    """Pack reads into size-bounded chunks, longest reads first.
-
-    Chunks are bounded by ``chunk_reads`` reads *and* ``chunk_bases``
-    total bases (a single over-budget read still forms its own chunk,
-    like minimap2's mini-batches). With ``longest_first`` the reads are
-    considered in descending length, so the chunk sequence is emitted
-    in LPT order: submitting chunks in list order schedules the
-    heaviest work earliest and drains workers evenly.
-    """
-    if chunk_reads < 1:
-        raise SchedulerError(f"chunk_reads must be >= 1: {chunk_reads}")
-    if chunk_bases < 1:
-        raise SchedulerError(f"chunk_bases must be >= 1: {chunk_bases}")
-    order = list(range(len(reads)))
-    if longest_first:
-        order.sort(key=lambda i: -len(reads[i]))
-    chunks: List[ChunkPlan] = []
-    cur: List[int] = []
-    acc = 0
-    for i in order:
-        n = len(reads[i])
-        if cur and (len(cur) >= chunk_reads or acc + n > chunk_bases):
-            chunks.append(ChunkPlan(tuple(cur), acc))
-            cur, acc = [], 0
-        cur.append(i)
-        acc += n
-    if cur:
-        chunks.append(ChunkPlan(tuple(cur), acc))
-    return chunks
+__all__: List[str] = []
 
 
 # --------------------------------------------------------------------- #
@@ -139,6 +68,7 @@ def _init_worker(
     # Mark this process as a disposable pool worker: crash-kind fault
     # injection only hard-kills where a supervisor can respawn it.
     os.environ["MANYMAP_POOL_WORKER"] = "1"
+    _exit_with_parent(os.getppid())
     setup_logging(log_level)
     set_run_id(run_id)
     index = load_index(index_path, mode="mmap")
@@ -146,6 +76,22 @@ def _init_worker(
     _WORKER["with_cigar"] = with_cigar
     _WORKER["trace"] = trace
     _WORKER["policy"] = policy
+
+
+def _exit_with_parent(ppid: int) -> None:
+    """Exit once the mapping process is gone.
+
+    Workers block on the pool's task queue, whose write end they also
+    hold, so a SIGKILLed parent never shows them end-of-file: without
+    this watch they would wait for tasks forever.
+    """
+
+    def watch() -> None:
+        while os.getppid() == ppid:
+            time.sleep(1.0)
+        os._exit(1)
+
+    threading.Thread(target=watch, name="parent-watch", daemon=True).start()
 
 
 def _map_chunk(
@@ -214,190 +160,6 @@ def _map_chunk(
     delta = counter_delta(COUNTERS.totals(), counters_before)
     hist_d = hist_delta(HISTOGRAMS.snapshot(), hists_before)
     return indices, out, stage_seconds, delta, hist_d, spans, faults
-
-
-# --------------------------------------------------------------------- #
-# Parent side
-
-
-def _map_reads_processes(
-    aligner: Aligner,
-    reads: Sequence[SeqRecord],
-    processes: int = 2,
-    with_cigar: bool = True,
-    longest_first: bool = True,
-    chunk_reads: int = 32,
-    chunk_bases: int = 1_000_000,
-    index_path: Optional[str] = None,
-    max_inflight: Optional[int] = None,
-    mp_context=None,
-    profile=None,
-    telemetry: Optional[Telemetry] = None,
-    fault_policy: Optional[FaultPolicy] = None,
-) -> List[List[Alignment]]:
-    """Map reads across worker processes; results keep the input order.
-
-    ``index_path`` should point at an existing serialized index
-    (``save_index``) so workers mmap it directly; when ``None``, the
-    aligner's in-memory index is serialized once to a temporary file
-    for the duration of the run. ``max_inflight`` bounds how many
-    chunks are queued or running at once (default ``2 * processes``),
-    which is what lets arbitrarily long read streams run in bounded
-    memory. ``profile`` — an optional
-    :class:`~repro.core.profiling.PipelineProfile` — receives the
-    merged per-worker Seed & Chain / Align timers. ``telemetry``
-    collects worker trace spans; worker counter deltas are always
-    folded into this process's global registry, so counter totals match
-    the serial and thread backends even without a telemetry object.
-
-    Raises :class:`SchedulerError` naming the failing read on the first
-    worker error; chunks that have not started yet are cancelled. With
-    a recovering ``fault_policy`` (``on_error`` of ``skip``/``retry``)
-    per-read errors are retried/quarantined inside the workers and a
-    broken pool (killed worker) is respawned by a
-    :class:`~repro.runtime.faults.PoolSupervisor`, which re-dispatches
-    the lost chunks and bisects a repeatedly-crashing chunk down to the
-    poison read.
-    """
-    if processes < 1:
-        raise SchedulerError(f"need >= 1 process: {processes}")
-    reads = list(reads)
-    if processes == 1 or len(reads) <= 1:
-        return _map_serial(
-            aligner, reads, with_cigar, profile, telemetry, fault_policy
-        )
-
-    chunks = plan_chunks(
-        reads,
-        chunk_reads=chunk_reads,
-        chunk_bases=chunk_bases,
-        longest_first=longest_first,
-    )
-    if max_inflight is None:
-        max_inflight = 2 * processes
-    if max_inflight < 1:
-        raise SchedulerError(f"max_inflight must be >= 1: {max_inflight}")
-
-    tmp_path: Optional[str] = None
-    if index_path is None:
-        fd, tmp_path = tempfile.mkstemp(suffix=".mmi", prefix="manymap-idx-")
-        os.close(fd)
-        save_index(aligner.index, tmp_path)
-        index_path = tmp_path
-
-    trace = telemetry is not None and telemetry.trace
-    recover = fault_policy is not None and fault_policy.recovers
-    results: List[Optional[List[List[Alignment]]]] = [None] * len(reads)
-    stage_totals = {"Seed & Chain": 0.0, "Align": 0.0}
-
-    def make_pool() -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(
-            max_workers=processes,
-            mp_context=mp_context,
-            initializer=_init_worker,
-            initargs=(
-                aligner.genome,
-                index_path,
-                aligner.config,
-                with_cigar,
-                trace,
-                current_level_name(),
-                fault_policy,
-                getattr(telemetry, "run_id", None),
-            ),
-        )
-
-    def absorb(result, chunk_id: Optional[int] = None) -> None:
-        indices, alns, stage_seconds, delta, hist_d, spans, faults = result
-        for i, a in zip(indices, alns):
-            results[i] = a
-        for stage, sec in stage_seconds.items():
-            stage_totals[stage] = stage_totals.get(stage, 0.0) + sec
-        # Live merge: the parent registries see this chunk's counter and
-        # histogram deltas now, so a mid-run /status or /metrics scrape
-        # reads current totals, not end-of-run ones.
-        COUNTERS.merge(delta)
-        HISTOGRAMS.merge(hist_d)
-        if telemetry is not None:
-            telemetry.extend(spans)
-            telemetry.record_faults(faults)
-        EVENTS.emit("chunk.done", chunk=chunk_id, reads=len(indices))
-
-    supervisor = PoolSupervisor(make_pool, _map_chunk, fault_policy, telemetry)
-    try:
-        chunk_iter = enumerate(chunks)
-        pending: Dict[Future, Tuple] = {}
-
-        def submit_next() -> bool:
-            item = next(chunk_iter, None)
-            if item is None:
-                return False
-            chunk_id, chunk = item
-            payload = (
-                chunk_id,
-                chunk.indices,
-                [reads[i] for i in chunk.indices],
-            )
-            pending[supervisor.pool.submit(_map_chunk, payload)] = payload
-            EVENTS.emit(
-                "chunk.dispatched", chunk=chunk_id, reads=len(chunk.indices)
-            )
-            return True
-
-        def recover_break(first_payload, token) -> None:
-            # The pool is dead: every other in-flight future settles as
-            # broken too. Sort survivors from lost work, respawn once,
-            # then re-dispatch the lost chunks through the supervisor
-            # (which bisects out a poison read if one keeps crashing).
-            lost = [first_payload]
-            for fut in list(pending):
-                payload = pending.pop(fut)
-                if fut.exception() is None:
-                    absorb(fut.result(), payload[0])
-                else:
-                    lost.append(payload)
-            supervisor.handle_break(token)
-            for payload in lost:
-                absorb(supervisor.run_chunk(payload), payload[0])
-
-        while len(pending) < max_inflight and submit_next():
-            pass
-        while pending:
-            done, _ = wait(set(pending), return_when=FIRST_COMPLETED)
-            for fut in done:
-                if fut not in pending:
-                    continue  # already absorbed during crash recovery
-                payload = pending.pop(fut)
-                exc = fut.exception()
-                if exc is None:
-                    absorb(fut.result(), payload[0])
-                elif isinstance(exc, BrokenExecutor) and recover:
-                    recover_break(payload, (supervisor.generation, exc))
-                else:
-                    _cancel_pending(set(pending))
-                    supervisor.shutdown()
-                    if isinstance(exc, SchedulerError):
-                        raise exc
-                    raise SchedulerError(
-                        f"process backend failed: {exc!r}"
-                    ) from exc
-            while len(pending) < max_inflight and submit_next():
-                pass
-    finally:
-        supervisor.shutdown()
-        if tmp_path is not None:
-            try:
-                os.unlink(tmp_path)
-            except OSError:
-                pass
-    if profile is not None:
-        profile.merge(stage_totals)
-    return results  # type: ignore[return-value]
-
-
-def _cancel_pending(pending: "set[Future]") -> None:
-    for fut in pending:
-        fut.cancel()
 
 
 def _map_serial(

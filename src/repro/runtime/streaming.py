@@ -1,38 +1,40 @@
-"""Streaming overlapped-pipeline backend: read → compute → write (§4.4.4).
+"""The parallel mapping pipeline: read → compute → write (§4.4.4).
 
 The paper's KNL macro runs hinge on a 3-thread overlapped pipeline plus
 longest-read-first batching; minimap2's Table 2 profile shows what
-happens without it (I/O serialized against compute). The batch backends
-in :mod:`repro.runtime.parallel` inherit that limitation from their
-input type — a fully materialized read list — so this module provides
-the real producer–consumer pipeline:
+happens without it (I/O serialized against compute). This module is
+that pipeline, and the only parallel mapper (``backend="processes"``):
 
 * a **reader thread** drains any read *iterator* (e.g.
   :func:`repro.seq.fasta.iter_fasta` / ``iter_fastq``) into bounded
   chunk queues, so memory is constant in input size;
-* **N compute workers** — plain threads, or threads proxying to a
-  shared process pool that reuses :mod:`repro.runtime.procpool`'s
-  mmap-shared index and per-chunk telemetry shipping;
+* **N compute workers** — threads that each proxy their chunks to one
+  shared process pool (:mod:`repro.runtime.procpool`'s worker side):
+  every pool process rebuilds the aligner over the serialized index in
+  ``mmap`` mode (§4.4.2) and ships each chunk's counter, histogram and
+  span deltas home with its results;
 * a **writer thread** reassembles per-read results in input order and
   streams them to a sink as soon as each read's turn comes.
 
 Scheduling keeps the paper's longest-first batching benefit without
 global ordering: reads are collected into a bounded look-ahead
-*window*, each window is sorted longest-first and packed into
-size-bounded chunks (LPT order within the window), and windows are
-emitted in sequence. Output order is nevertheless exactly the input
-order — the writer reorders by per-read sequence number — so the PAF
-stream is byte-identical to the serial backend.
+*window* of ``chunk_reads × workers × 4`` reads, each window is sorted
+longest-first and packed into size-bounded chunks (LPT order within
+the window), and windows are emitted in sequence. Output order is
+nevertheless exactly the input order — the writer reorders by per-read
+sequence number — so the PAF stream is byte-identical to the serial
+backend.
 
-Backpressure comes from the bounded queues: a slow sink stalls the
-writer, which fills the done queue, which stalls workers, which fills
-the work queue, which stalls the reader. Queue depths and per-stage
-stall seconds are recorded as :class:`~repro.obs.gauges.GaugeSet`
-gauges (``stream.*``), which is how ``map --metrics`` shows the
-Fig. 11 overlap story. On the first error anywhere, upstream stages
-are cancelled (the reader stops producing, workers drain without
-computing) and a :class:`~repro.errors.SchedulerError` naming the
-failing read is raised after the pipeline unwinds cleanly.
+Backpressure comes from the bounded queues (``2 × workers`` chunks
+each): a slow sink stalls the writer, which fills the done queue,
+which stalls workers, which fills the work queue, which stalls the
+reader. Queue depths and per-stage stall seconds are recorded as
+:class:`~repro.obs.gauges.GaugeSet` gauges (``stream.*``), which is
+how ``map --metrics`` shows the Fig. 11 overlap story. On the first
+error anywhere, upstream stages are cancelled (the reader stops
+producing, workers drain without computing) and a
+:class:`~repro.errors.SchedulerError` naming the failing read is
+raised after the pipeline unwinds cleanly.
 """
 
 from __future__ import annotations
@@ -42,25 +44,23 @@ import queue
 import tempfile
 import threading
 import time
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..core.aligner import Aligner
 from ..core.alignment import Alignment
 from ..errors import SchedulerError
-from ..obs.counters import COUNTERS, counter_delta
+from ..index.store import save_index
+from ..obs.counters import COUNTERS
 from ..obs.events import EVENTS
 from ..obs.gauges import GaugeSet
 from ..obs.hist import HISTOGRAMS
-from ..obs.telemetry import Telemetry, read_span
+from ..obs.logs import current_level_name
+from ..obs.telemetry import Telemetry
 from ..seq.records import SeqRecord
-from .faults import (
-    FaultPolicy,
-    FaultRecord,
-    PoolSupervisor,
-    map_chunk_reads,
-    map_one_read,
-)
+from .faults import FaultPolicy, PoolSupervisor
+from .procpool import _init_worker, _map_chunk
 
 __all__ = ["StreamStats", "stream_map", "map_reads_streaming"]
 
@@ -136,80 +136,17 @@ def _plan_window(
     return chunks
 
 
-def _map_chunk_threaded(
-    aligner: Aligner,
-    chunk: List[Tuple[int, SeqRecord]],
-    chunk_id: int,
-    with_cigar: bool,
-    trace: bool,
-    policy: Optional[FaultPolicy] = None,
-) -> Tuple[
-    List[List[Alignment]],
-    Dict[str, float],
-    List[Dict],
-    List[FaultRecord],
-]:
-    """Map one chunk in-process (thread-backed compute worker)."""
-    stage_seconds = {"Seed & Chain": 0.0, "Align": 0.0}
-    spans: List[Dict] = []
-    out: List[List[Alignment]] = []
-    faults: List[FaultRecord] = []
-    reads = [read for _, read in chunk]
-    try:
-        pooled = map_chunk_reads(aligner, reads, with_cigar, policy)
-    except Exception:
-        # Deterministic mapping: the per-read loop below reproduces the
-        # failure on the culprit read and names it.
-        pooled = None
-    if pooled is not None:
-        for read, (alns, seed_s, align_s, fault) in zip(reads, pooled):
-            stage_seconds["Seed & Chain"] += seed_s
-            stage_seconds["Align"] += align_s
-            if trace:
-                spans.append(
-                    read_span(
-                        read.name, len(read), seed_s, align_s, chunk=chunk_id
-                    )
-                )
-            out.append(alns)
-        return out, stage_seconds, spans, faults
-    for read in reads:
-        try:
-            alns, seed_s, align_s, fault = map_one_read(
-                aligner, read, with_cigar, policy
-            )
-        except Exception as exc:
-            raise SchedulerError(
-                f"mapping failed for read {read.name!r}: {exc!r}"
-            ) from exc
-        stage_seconds["Seed & Chain"] += seed_s
-        stage_seconds["Align"] += align_s
-        if fault is not None:
-            faults.append(fault)
-        if trace and (fault is None or fault.action == "fallback"):
-            spans.append(
-                read_span(read.name, len(read), seed_s, align_s, chunk=chunk_id)
-            )
-        out.append(alns)
-    return out, stage_seconds, spans, faults
-
-
 def stream_map(
     aligner: Aligner,
     reads: Iterable[SeqRecord],
     emit: Optional[Callable[[SeqRecord, List[Alignment]], None]] = None,
     *,
     workers: int = 1,
-    use_processes: bool = False,
     with_cigar: bool = True,
     longest_first: bool = True,
     chunk_reads: int = 32,
     chunk_bases: int = 1_000_000,
-    window_reads: int = 256,
-    window_bases: Optional[int] = None,
-    queue_chunks: int = 8,
     index_path: Optional[str] = None,
-    mp_context=None,
     profile=None,
     telemetry: Optional[Telemetry] = None,
     fault_policy: Optional[FaultPolicy] = None,
@@ -222,17 +159,15 @@ def stream_map(
     capacities regardless of input size. ``None`` discards results
     (useful for benchmarking the pipeline itself).
 
-    ``workers`` compute workers run as threads; with
-    ``use_processes=True`` each worker thread proxies its chunks to a
-    shared process pool whose workers rebuild the aligner over the
-    ``index_path`` file in ``mmap`` mode (serialized to a temporary
-    file when ``None``), exactly like the batch process backend.
-
-    ``window_reads`` / ``window_bases`` bound the longest-first
-    look-ahead window; ``queue_chunks`` bounds each inter-stage queue
-    (backpressure). ``profile`` receives Load Query / Seed & Chain /
-    Align / Output stage seconds (the middle two as aggregate worker
-    seconds); ``telemetry`` collects trace spans and the ``stream.*``
+    ``workers`` processes compute; their pool is built once per call
+    and rebuilds the aligner over the ``index_path`` file in ``mmap``
+    mode (the in-memory index is serialized to a temporary file once
+    when ``None``). The look-ahead window holds ``chunk_reads ×
+    workers × 4`` reads (and ``chunk_bases × workers × 4`` bases);
+    each inter-stage queue holds ``2 × workers`` chunks.
+    ``profile`` receives Load Query / Seed & Chain / Align / Output
+    stage seconds (the middle two as aggregate worker seconds);
+    ``telemetry`` collects trace spans and the ``stream.*``
     queue-depth/stall gauges.
 
     Raises :class:`SchedulerError` naming the failing read on the
@@ -241,32 +176,27 @@ def stream_map(
     in the pipeline (source, sink, or compute) unwinds the same way —
     threads join, queues drain — and is then re-raised *as is*, never
     wrapped. With a recovering ``fault_policy``, failing reads are
-    retried/quarantined in place and (on the process path) dead pool
-    workers are respawned by a
-    :class:`~repro.runtime.faults.PoolSupervisor`.
+    retried/quarantined in place and dead pool workers are respawned by
+    a :class:`~repro.runtime.faults.PoolSupervisor`.
     """
     if workers < 1:
         raise SchedulerError(f"need >= 1 worker: {workers}")
-    if queue_chunks < 1:
-        raise SchedulerError(f"queue_chunks must be >= 1: {queue_chunks}")
-    if window_reads < 1:
-        raise SchedulerError(f"window_reads must be >= 1: {window_reads}")
     if chunk_reads < 1:
         raise SchedulerError(f"chunk_reads must be >= 1: {chunk_reads}")
     if chunk_bases < 1:
         raise SchedulerError(f"chunk_bases must be >= 1: {chunk_bases}")
-    if window_bases is None:
-        window_bases = chunk_bases * 8
+    window_reads = chunk_reads * workers * 4
+    window_bases = chunk_bases * workers * 4
 
     gauges = telemetry.gauges if telemetry is not None else GaugeSet()
     trace = telemetry is not None and telemetry.trace
     shared = _Shared()
     stats = StreamStats()
     # (chunk_id, [(seq, read), ...]) or _END
-    work_q: "queue.Queue" = queue.Queue(queue_chunks)
+    work_q: "queue.Queue" = queue.Queue(2 * workers)
     # (chunk_id, chunk, results, stage_seconds, delta, hist_d, spans,
     # faults), _WORKER_DONE, or nothing (errors go through shared.fail).
-    done_q: "queue.Queue" = queue.Queue(queue_chunks)
+    done_q: "queue.Queue" = queue.Queue(2 * workers)
     stage_totals: Dict[str, float] = {
         "Load Query": 0.0,
         "Seed & Chain": 0.0,
@@ -274,43 +204,46 @@ def stream_map(
         "Output": 0.0,
     }
 
-    supervisor: Optional[PoolSupervisor] = None
     tmp_index: Optional[str] = None
-    if use_processes:
-        from concurrent.futures import ProcessPoolExecutor
+    if index_path is None:
+        fd, tmp_index = tempfile.mkstemp(
+            suffix=".mmi", prefix="manymap-stream-idx-"
+        )
+        os.close(fd)
+        index_path = tmp_index
 
-        from ..index.store import save_index
-        from ..obs.logs import current_level_name
-        from .procpool import _init_worker, _map_chunk
+    def make_pool() -> ProcessPoolExecutor:
+        pool = ProcessPoolExecutor(
+            max_workers=workers,
+            initializer=_init_worker,
+            initargs=(
+                aligner.genome,
+                index_path,
+                aligner.config,
+                with_cigar,
+                trace,
+                current_level_name(),
+                fault_policy,
+                getattr(telemetry, "run_id", None),
+            ),
+        )
+        # The first submit starts the workers, so start them here, on
+        # the calling thread: a worker forked from a pipeline thread
+        # allocates from that thread's empty malloc arena instead of
+        # reusing the heap it inherits (+25 MB per worker on 240 CLR
+        # reads).
+        pool.submit(os.getpid)
+        return pool
 
-        if index_path is None:
-            fd, tmp_index = tempfile.mkstemp(
-                suffix=".mmi", prefix="manymap-stream-idx-"
-            )
-            os.close(fd)
+    try:
+        if tmp_index is not None:
             save_index(aligner.index, tmp_index)
-            index_path = tmp_index
-
-        def make_pool() -> ProcessPoolExecutor:
-            return ProcessPoolExecutor(
-                max_workers=workers,
-                mp_context=mp_context,
-                initializer=_init_worker,
-                initargs=(
-                    aligner.genome,
-                    index_path,
-                    aligner.config,
-                    with_cigar,
-                    trace,
-                    current_level_name(),
-                    fault_policy,
-                    getattr(telemetry, "run_id", None),
-                ),
-            )
-
         supervisor = PoolSupervisor(
             make_pool, _map_chunk, fault_policy, telemetry
         )
+    except BaseException:
+        _unlink(tmp_index)
+        raise
 
     # ---------------------------------------------------------------- #
     # Stage 1: reader — drain the source into windowed, bounded chunks.
@@ -334,6 +267,9 @@ def stream_map(
                 work_q.put((next_chunk_id, chunk))
                 gauges.add("stream.reader.stall_s", time.perf_counter() - t0)
                 gauges.high_water("stream.work_queue.depth.max", work_q.qsize())
+                EVENTS.emit(
+                    "chunk.dispatched", chunk=next_chunk_id, reads=len(chunk)
+                )
                 next_chunk_id += 1
                 stats.n_chunks += 1
             window.clear()
@@ -382,40 +318,24 @@ def stream_map(
                 if shared.stop.is_set():
                     continue  # cancelled: drain without computing
                 chunk_id, chunk = item
+                payload = (
+                    chunk_id,
+                    tuple(seq for seq, _ in chunk),
+                    [read for _, read in chunk],
+                )
                 try:
-                    if supervisor is not None:
-                        payload = (
-                            chunk_id,
-                            tuple(seq for seq, _ in chunk),
-                            [read for _, read in chunk],
-                        )
-                        # run_chunk recovers broken pools (respawn +
-                        # re-dispatch + poison-read bisect) when the
-                        # policy allows; otherwise it raises.
-                        (
-                            _,
-                            results,
-                            stage_seconds,
-                            delta,
-                            hist_d,
-                            spans,
-                            faults,
-                        ) = supervisor.run_chunk(payload)
-                    else:
-                        results, stage_seconds, spans, faults = (
-                            _map_chunk_threaded(
-                                aligner,
-                                chunk,
-                                chunk_id,
-                                with_cigar,
-                                trace,
-                                fault_policy,
-                            )
-                        )
-                        delta = {}
-                        # threads observe straight into the process
-                        # registry; nothing to ship.
-                        hist_d = {}
+                    # run_chunk recovers broken pools (respawn +
+                    # re-dispatch + poison-read bisect) when the policy
+                    # allows; otherwise it raises.
+                    (
+                        _,
+                        results,
+                        stage_seconds,
+                        delta,
+                        hist_d,
+                        spans,
+                        faults,
+                    ) = supervisor.run_chunk(payload)
                 except BaseException as exc:  # noqa: BLE001
                     shared.fail(
                         exc
@@ -466,10 +386,8 @@ def stream_map(
             ) = item
             for stage, sec in stage_seconds.items():
                 stage_totals[stage] = stage_totals.get(stage, 0.0) + sec
-            if delta:
-                COUNTERS.merge(delta)
-            if hist_d:
-                HISTOGRAMS.merge(hist_d)
+            COUNTERS.merge(delta)
+            HISTOGRAMS.merge(hist_d)
             # Parent-side absorb point: worker deltas are live in the
             # registries from here, so /status and /metrics see them.
             EVENTS.emit("chunk.done", chunk=chunk_id, reads=len(chunk))
@@ -530,13 +448,8 @@ def stream_map(
 
         if _chaos_mod.ARMED:
             _chaos_mod.chaos_point("stream.drain")
-        if supervisor is not None:
-            supervisor.shutdown()
-        if tmp_index is not None:
-            try:
-                os.unlink(tmp_index)
-            except OSError:
-                pass
+        supervisor.shutdown()
+        _unlink(tmp_index)
 
     gauges.set("stream.workers", workers)
     gauges.set("stream.chunks", stats.n_chunks)
@@ -557,26 +470,15 @@ def stream_map(
 def map_reads_streaming(
     aligner: Aligner,
     reads: Sequence[SeqRecord],
-    *,
-    workers: int = 1,
-    use_processes: bool = False,
-    with_cigar: bool = True,
-    longest_first: bool = True,
-    chunk_reads: int = 32,
-    chunk_bases: int = 1_000_000,
-    window_reads: int = 256,
-    queue_chunks: int = 8,
-    index_path: Optional[str] = None,
-    profile=None,
-    telemetry: Optional[Telemetry] = None,
-    fault_policy: Optional[FaultPolicy] = None,
+    **kwargs,
 ) -> List[List[Alignment]]:
     """Batch-shaped adapter: run the pipeline, collect results in order.
 
-    This is what ``backend="streaming"`` resolves to in the backend
-    registry, so the streaming pipeline is drop-in interchangeable
-    (and byte-identical) with the batch backends wherever a result
-    list is expected. For true constant-memory streaming use
+    This is what ``backend="processes"`` resolves to in the backend
+    registry for more than one worker, so the pipeline is drop-in
+    interchangeable (and byte-identical) with the serial backend
+    wherever a result list is expected. ``kwargs`` are
+    :func:`stream_map`'s. For true constant-memory streaming use
     :func:`stream_map` (or :func:`repro.api.map_file`) with a sink.
     """
     out: List[List[Alignment]] = []
@@ -584,21 +486,13 @@ def map_reads_streaming(
     def collect(_read: SeqRecord, alns: List[Alignment]) -> None:
         out.append(alns)
 
-    stream_map(
-        aligner,
-        reads,
-        collect,
-        workers=workers,
-        use_processes=use_processes,
-        with_cigar=with_cigar,
-        longest_first=longest_first,
-        chunk_reads=chunk_reads,
-        chunk_bases=chunk_bases,
-        window_reads=window_reads,
-        queue_chunks=queue_chunks,
-        index_path=index_path,
-        profile=profile,
-        telemetry=telemetry,
-        fault_policy=fault_policy,
-    )
+    stream_map(aligner, reads, collect, **kwargs)
     return out
+
+
+def _unlink(path: Optional[str]) -> None:
+    if path is not None:
+        try:
+            os.unlink(path)
+        except OSError:
+            pass

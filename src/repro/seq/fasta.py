@@ -149,7 +149,7 @@ def iter_reads(path: PathOrHandle) -> Iterator[SeqRecord]:
     ``.fq`` / ``.fastq`` (optionally ``.gz``-suffixed) parse as FASTQ;
     everything else as FASTA. This is the shared reader path every
     mapping entry point goes through (:func:`repro.api.map_file` and
-    the CLI), so streaming and batch backends see the same records.
+    the CLI), so every backend sees the same records.
     """
     name = str(path) if not (hasattr(path, "read")) else getattr(path, "name", "")
     base = name[: -len(".gz")] if name.endswith(".gz") else name

@@ -27,7 +27,7 @@ Fault kinds:
     calls ``os._exit`` *when running inside a process-pool worker*
     (the ``MANYMAP_POOL_WORKER`` env var set by the pool initializer),
     killing the worker mid-chunk; outside a pool worker it degrades to
-    a ``RuntimeError`` so the serial/thread backends (and pytest
+    a ``RuntimeError`` so the serial backend (and pytest
     itself) survive the same spec file.
 ``disk_full``
     raises ``OSError(ENOSPC)`` at *output-write* time for the named

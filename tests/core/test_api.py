@@ -124,9 +124,6 @@ class TestSurfaceSnapshot:
             "longest_first",
             "chunk_reads",
             "chunk_bases",
-            "window_reads",
-            "queue_chunks",
-            "stream_processes",
             "index_path",
             "kernel",
             "batch_max",
@@ -148,9 +145,6 @@ class TestSurfaceSnapshot:
             longest_first=True,
             chunk_reads=32,
             chunk_bases=1_000_000,
-            window_reads=256,
-            queue_chunks=8,
-            stream_processes=False,
             index_path=None,
             kernel=None,
             batch_max=None,
@@ -208,8 +202,8 @@ class TestMapOptions:
             MapOptions().workers = 2  # type: ignore[misc]
 
     def test_replace(self):
-        opts = MapOptions().replace(backend="threads", workers=4)
-        assert (opts.backend, opts.workers) == ("threads", 4)
+        opts = MapOptions().replace(backend="processes", workers=4)
+        assert (opts.backend, opts.workers) == ("processes", 4)
         assert MapOptions().workers == 1  # original untouched
 
     def test_replace_unknown_field(self):
@@ -222,7 +216,7 @@ class TestMapOptions:
 
     @pytest.mark.parametrize(
         "field",
-        ["workers", "chunk_reads", "chunk_bases", "window_reads", "queue_chunks"],
+        ["workers", "chunk_reads", "chunk_bases"],
     )
     def test_validated_bounds(self, field):
         with pytest.raises(SchedulerError, match=field):
@@ -233,9 +227,8 @@ class TestFacade:
     def test_open_index_from_genome_and_map(self, setup):
         aligner, reads = setup
         serial = paf(api.map_reads(aligner, reads))
-        for backend in ("threads", "streaming"):
-            got = paf(api.map_reads(aligner, reads, backend=backend, workers=2))
-            assert got == serial, backend
+        got = paf(api.map_reads(aligner, reads, backend="processes", workers=2))
+        assert got == serial
 
     def test_open_index_records_source(self, small_genome, tmp_path):
         from repro.index.store import save_index
@@ -253,7 +246,7 @@ class TestFacade:
         opts = MapOptions(backend="serial")
         serial = paf(api.map_reads(aligner, reads, opts))
         streamed = paf(
-            api.map_reads(aligner, reads, opts, backend="streaming", workers=2)
+            api.map_reads(aligner, reads, opts, backend="processes", workers=2)
         )
         assert streamed == serial
         assert opts.backend == "serial"  # options object untouched
@@ -282,7 +275,7 @@ class TestMappingSession:
     def test_session_options_are_defaults(self, setup):
         aligner, reads = setup
         session = MappingSession(
-            aligner, MapOptions(backend="threads", workers=2)
+            aligner, MapOptions(backend="processes", workers=2)
         )
         assert paf(session.map_reads(reads)) == paf(
             api.map_reads(aligner, reads)
@@ -325,11 +318,15 @@ class TestShimRemoval:
 
     def test_parallel_map_reads_removed(self):
         import repro.runtime as runtime
-        import repro.runtime.parallel as parallel
 
-        assert not hasattr(parallel, "map_reads")
+        # The threads backend went with its module; -p N is the only
+        # parallel path.
+        with pytest.raises(ImportError):
+            import repro.runtime.parallel  # noqa: F401
+        with pytest.raises(ImportError):
+            import repro.runtime.threaded  # noqa: F401
         assert "map_reads" not in runtime.__all__
-        assert hasattr(parallel, "parallel_map_reads")  # real impl stays
+        assert "parallel_map_reads" not in runtime.__all__
 
     def test_procpool_map_reads_processes_removed(self):
         import repro.runtime as runtime
@@ -337,7 +334,11 @@ class TestShimRemoval:
 
         assert not hasattr(procpool, "map_reads_processes")
         assert "map_reads_processes" not in runtime.__all__
-        assert hasattr(procpool, "_map_reads_processes")  # real impl stays
+        # The batch submit loop is gone too: processes runs the
+        # streaming pipeline; procpool keeps only the worker side.
+        assert not hasattr(procpool, "_map_reads_processes")
+        assert not hasattr(procpool, "plan_chunks")
+        assert hasattr(procpool, "_map_chunk")
 
     def test_errors_index_alias_removed(self):
         import repro.errors as errs
@@ -347,7 +348,7 @@ class TestShimRemoval:
 
     def test_facade_does_not_warn(self, setup, recwarn):
         aligner, reads = setup
-        api.map_reads(aligner, reads, backend="threads", workers=2)
+        api.map_reads(aligner, reads, backend="processes", workers=2)
         assert not [
             w for w in recwarn if issubclass(w.category, DeprecationWarning)
         ]
@@ -357,11 +358,11 @@ class TestDriverOptions:
     def test_driver_accepts_options(self, setup):
         aligner, reads = setup
         driver = ParallelDriver(
-            aligner, options=MapOptions(backend="streaming", workers=2)
+            aligner, options=MapOptions(backend="processes", workers=2)
         )
-        assert driver.backend == "streaming"
+        assert driver.backend == "processes"
         assert driver.workers == 2
-        assert driver.profile.label == "streaming[2]"
+        assert driver.profile.label == "processes[2]"
         out = io.StringIO()
         results = driver.run(reads, output=out)
         assert paf(results) == paf(api.map_reads(aligner, reads))
@@ -369,8 +370,8 @@ class TestDriverOptions:
 
     def test_driver_legacy_kwargs_still_work(self, setup):
         aligner, _ = setup
-        driver = ParallelDriver(aligner, backend="threads", workers=3)
-        assert driver.options == MapOptions(backend="threads", workers=3)
+        driver = ParallelDriver(aligner, backend="serial", workers=3)
+        assert driver.options == MapOptions(backend="serial", workers=3)
 
     def test_driver_unknown_backend_raises_repro_error(self, setup):
         aligner, _ = setup

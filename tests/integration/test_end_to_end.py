@@ -19,7 +19,7 @@ from repro import (
     simulate_reads,
 )
 from repro.core.alignment import to_paf
-from repro.runtime.threaded import ThreadedPipeline
+from repro.runtime.streaming import stream_map
 from repro.seq.fasta import read_fasta, write_fasta, write_fastq
 from repro.sim.lengths import LengthModel
 from repro.sim.pbsim import ReadSimulator
@@ -57,20 +57,22 @@ class TestFullPipeline:
                 (a.tstart, a.tend, a.score) for a in direct
             ]
 
-    def test_threaded_pipeline_matches_serial(self, small_genome):
+    def test_stream_pipeline_matches_serial(self, small_genome):
         sim = ReadSimulator.preset(small_genome, "pacbio")
         sim.length_model = LengthModel(mean=700.0, sigma=0.2, max_length=1200)
         reads = sim.simulate(6, seed=33)
         aligner = Aligner(small_genome, preset="test")
         serial = [to_paf(a) for r in reads for a in aligner.map_read(r, with_cigar=False)]
         collected = []
-        pipe = ThreadedPipeline(
-            load_fn=lambda r: r,
-            compute_fn=lambda r: aligner.map_read(r, with_cigar=False),
-            output_fn=lambda alns: collected.extend(to_paf(a) for a in alns),
+        stats = stream_map(
+            aligner,
+            iter(reads),
+            lambda read, alns: collected.extend(to_paf(a) for a in alns),
+            workers=2,
+            chunk_reads=2,
+            with_cigar=False,
         )
-        n = pipe.run(list(reads))
-        assert n == len(reads)
+        assert stats.n_reads == len(reads)
         assert collected == serial
 
     def test_fasta_roundtrip_through_disk(self, small_genome, tmp_path):
@@ -161,7 +163,7 @@ class TestCliExtras:
     def test_bench_unknown(self):
         assert self._run("bench", "fig99").returncode == 1
 
-    def test_map_threads(self, tmp_path):
+    def test_map_processes(self, tmp_path):
         ref = tmp_path / "ref.fa"
         reads = tmp_path / "reads.fq"
         self._run(
@@ -169,11 +171,11 @@ class TestCliExtras:
             "--seed", "3", "--reference-out", str(ref), "--reads-out", str(reads),
         )
         serial = self._run("map", str(ref), str(reads), "-x", "test", "--no-cigar")
-        threaded = self._run(
-            "map", str(ref), str(reads), "-x", "test", "--no-cigar", "-t", "3"
+        parallel = self._run(
+            "map", str(ref), str(reads), "-x", "test", "--no-cigar", "-p", "3"
         )
-        assert threaded.returncode == 0
-        assert threaded.stdout == serial.stdout
+        assert parallel.returncode == 0
+        assert parallel.stdout == serial.stdout
 
     def test_stats_subcommand(self, tmp_path):
         ref = tmp_path / "ref.fa"

@@ -31,9 +31,7 @@ FULL = os.environ.get("MANYMAP_CHAOS_FULL") == "1"
 
 BACKENDS = {
     "serial": [],
-    "threads": ["--backend", "threads", "-t", "2"],
     "processes": ["-p", "2"],
-    "streaming": ["--stream", "-t", "2"],
 }
 
 
@@ -120,15 +118,16 @@ class TestKillResumeIdentity:
             runner.kill_and_resume("kill@journal.commit.fsync:1"), want
         )
 
-    def test_threads_torn_journal_append(self, corpus, tmp_path):
-        runner = chaos_run(corpus, tmp_path, backend="threads")
+    def test_processes_torn_journal_append(self, corpus, tmp_path):
+        runner = chaos_run(corpus, tmp_path, backend="processes")
         want = runner.baseline()
         assert_identity(
             runner.kill_and_resume("torn@journal.append:2"), want
         )
 
     def test_streaming_kill_during_drain(self, corpus, tmp_path):
-        runner = chaos_run(corpus, tmp_path, backend="streaming")
+        # -p 2 runs the streaming pipeline; its drain is the kill point.
+        runner = chaos_run(corpus, tmp_path, backend="processes")
         want = runner.baseline()
         assert_identity(runner.kill_and_resume("kill@stream.drain:1"), want)
 
@@ -157,12 +156,12 @@ class TestSeededScheduleProperty:
         runner = chaos_run(corpus, tmp_path, backend=backend)
         want = runner.baseline()
         directives = seeded_schedule(seed=11, n_points=4, max_nth=3)
-        if backend == "streaming":
+        if backend == "processes":
             directives = directives + ["kill@stream.drain:1"]
         for directive in directives:
             assert_identity(runner.kill_and_resume(directive), want)
 
-    @pytest.mark.parametrize("backend", ["serial", "streaming"])
+    @pytest.mark.parametrize("backend", ["serial", "processes"])
     def test_schedule_identity_gzip(self, corpus, tmp_path, backend):
         runner = chaos_run(corpus, tmp_path, backend=backend, reads="r.fq.gz")
         want = runner.baseline()

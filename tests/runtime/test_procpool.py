@@ -1,4 +1,4 @@
-"""Tests for the process-pool backend, backend dispatch, and ParallelDriver."""
+"""Tests for the processes backend, backend dispatch, and ParallelDriver."""
 
 import io
 import pickle
@@ -10,9 +10,10 @@ from repro.core.alignment import to_paf
 from repro.core.driver import ParallelDriver
 from repro.errors import ReproError, SchedulerError
 from repro.index.store import save_index
-from repro.api import map_reads
-from repro.runtime.parallel import BACKENDS
-from repro.runtime.procpool import _map_reads_processes, plan_chunks
+from repro.api import map_file, map_reads
+from repro.runtime.backends import backend_names
+from repro.runtime.streaming import _plan_window, stream_map
+from repro.seq.fasta import write_fasta
 from repro.sim.lengths import LengthModel
 from repro.sim.pbsim import ReadSimulator
 
@@ -56,7 +57,7 @@ def serial_paf(setup):
 class TestBackendEquivalence:
     """Satellite: byte-identical PAF across all backends/worker counts."""
 
-    @pytest.mark.parametrize("backend", ["serial", "threads", "processes"])
+    @pytest.mark.parametrize("backend", ["serial", "processes"])
     @pytest.mark.parametrize("workers", [1, 2, 4])
     @pytest.mark.parametrize("longest_first", [True, False])
     def test_identical_paf(self, setup, serial_paf, backend, workers, longest_first):
@@ -78,42 +79,54 @@ class TestBackendEquivalence:
         aligner, reads, _ = setup
         with pytest.raises(SchedulerError):
             map_reads(aligner, reads, backend="gpu")
-        assert set(BACKENDS) == {"serial", "threads", "processes", "streaming"}
+        assert backend_names() == ("serial", "processes")
 
 
 class TestChunkPlanning:
+    """The pipeline's window packer: longest-first, size-bounded chunks."""
+
+    @staticmethod
+    def plan(reads, chunk_reads=32, chunk_bases=1_000_000, longest_first=True):
+        window = list(enumerate(reads))
+        return [
+            tuple(i for i, _ in chunk)
+            for chunk in _plan_window(
+                window, chunk_reads, chunk_bases, longest_first
+            )
+        ]
+
     def test_bounds_and_coverage(self, setup):
         _, reads, _ = setup
-        chunks = plan_chunks(reads, chunk_reads=3, chunk_bases=10**9)
-        assert all(len(c.indices) <= 3 for c in chunks)
-        covered = sorted(i for c in chunks for i in c.indices)
+        chunks = self.plan(reads, chunk_reads=3, chunk_bases=10**9)
+        assert all(len(c) <= 3 for c in chunks)
+        covered = sorted(i for c in chunks for i in c)
         assert covered == list(range(len(reads)))
 
     def test_base_bound_splits(self, setup):
         _, reads, _ = setup
         limit = max(len(r) for r in reads)
-        chunks = plan_chunks(reads, chunk_reads=100, chunk_bases=limit)
+        chunks = self.plan(reads, chunk_reads=100, chunk_bases=limit)
         # No chunk of 2+ reads may exceed the base budget.
         for c in chunks:
-            assert len(c.indices) == 1 or c.bases <= limit
+            assert len(c) == 1 or sum(len(reads[i]) for i in c) <= limit
 
     def test_longest_first_order(self, setup):
         _, reads, _ = setup
-        chunks = plan_chunks(reads, chunk_reads=2, longest_first=True)
-        first = [len(reads[c.indices[0]]) for c in chunks]
+        chunks = self.plan(reads, chunk_reads=2, longest_first=True)
+        first = [len(reads[c[0]]) for c in chunks]
         assert first == sorted(first, reverse=True)
 
     def test_oversized_read_gets_own_chunk(self, setup):
         _, reads, _ = setup
-        chunks = plan_chunks(reads, chunk_reads=100, chunk_bases=1)
-        assert all(len(c.indices) == 1 for c in chunks)
+        chunks = self.plan(reads, chunk_reads=100, chunk_bases=1)
+        assert all(len(c) == 1 for c in chunks)
 
     def test_bad_bounds_raise(self, setup):
-        _, reads, _ = setup
+        aligner, reads, _ = setup
         with pytest.raises(SchedulerError):
-            plan_chunks(reads, chunk_reads=0)
+            stream_map(aligner, iter(reads), chunk_reads=0)
         with pytest.raises(SchedulerError):
-            plan_chunks(reads, chunk_bases=0)
+            stream_map(aligner, iter(reads), chunk_bases=0)
 
 
 class TestProcessBackend:
@@ -122,24 +135,122 @@ class TestProcessBackend:
         bad = PoisonRecord("poison-pill", 500)
         batch = reads[:2] + [bad] + reads[2:4]
         with pytest.raises(SchedulerError, match="poison-pill"):
-            _map_reads_processes(
-                aligner, batch, processes=2, chunk_reads=1, index_path=index_path
+            map_reads(
+                aligner, batch, backend="processes", workers=2,
+                chunk_reads=1, index_path=index_path,
             )
 
     def test_bad_process_count(self, setup):
         aligner, reads, _ = setup
         with pytest.raises(SchedulerError):
-            _map_reads_processes(aligner, reads, processes=0)
+            map_reads(aligner, reads, backend="processes", workers=0)
 
     def test_empty_input(self, setup):
         aligner, _, index_path = setup
-        assert _map_reads_processes(aligner, [], processes=2, index_path=index_path) == []
+        assert map_reads(
+            aligner, [], backend="processes", workers=2, index_path=index_path
+        ) == []
 
     def test_without_index_file_serializes_temp(self, setup, serial_paf):
         """index_path=None: the index is serialized once and shared."""
         aligner, reads, _ = setup
-        results = _map_reads_processes(aligner, reads, processes=2, chunk_reads=4)
+        results = map_reads(
+            aligner, reads, backend="processes", workers=2, chunk_reads=4
+        )
         assert paf_lines(results) == serial_paf
+
+    def test_map_file_builds_one_pool_and_one_index(
+        self, setup, serial_paf, tmp_path, monkeypatch
+    ):
+        """A file of several look-ahead windows runs on one pool and one
+        serialized index, not one of each per window."""
+        import concurrent.futures
+        import tempfile
+
+        aligner, reads, _ = setup
+        pools, indexes = [], []
+        real_init = concurrent.futures.ProcessPoolExecutor.__init__
+        real_mkstemp = tempfile.mkstemp
+
+        def counting_init(self, *args, **kwargs):
+            pools.append(1)
+            real_init(self, *args, **kwargs)
+
+        def counting_mkstemp(*args, **kwargs):
+            if kwargs.get("suffix") == ".mmi":
+                indexes.append(1)
+            return real_mkstemp(*args, **kwargs)
+
+        monkeypatch.setattr(
+            concurrent.futures.ProcessPoolExecutor, "__init__", counting_init
+        )
+        monkeypatch.setattr(tempfile, "mkstemp", counting_mkstemp)
+        # chunk_reads=1 at 2 workers: a window is 1 * 2 * 4 = 8 reads,
+        # so 32 reads are 4 windows.
+        fa = tmp_path / "reads.fa"
+        write_fasta(fa, reads * 4)
+        out = io.StringIO()
+        stats = map_file(
+            aligner, fa, out, backend="processes", workers=2, chunk_reads=1
+        )
+        assert len(pools) == 1
+        assert len(indexes) == 1
+        assert stats.n_reads == 32 and stats.n_windows == 4
+        assert out.getvalue().splitlines() == serial_paf * 4
+
+    def test_workers_exit_when_parent_is_killed(self, tmp_path):
+        """A SIGKILLed run must not leave its pool workers behind."""
+        import os
+        import signal
+        import subprocess
+        import sys
+        import time
+        from pathlib import Path
+
+        script = tmp_path / "run.py"
+        script.write_text(
+            "import multiprocessing, time\n"
+            "from repro.core.aligner import Aligner\n"
+            "from repro.runtime.streaming import stream_map\n"
+            "from repro.seq.genome import GenomeSpec, generate_genome\n"
+            "from repro.sim.pbsim import ReadSimulator\n"
+            "genome = generate_genome(GenomeSpec(length=20_000), seed=3)\n"
+            "reads = list(ReadSimulator.preset(genome, 'pacbio')"
+            ".simulate(8, seed=4))\n"
+            "def source():\n"
+            "    yield from reads\n"
+            "    time.sleep(600)\n"
+            "def sink(read, alns):\n"
+            "    pids = [p.pid for p in multiprocessing.active_children()]\n"
+            "    print(*pids, flush=True)\n"
+            "stream_map(Aligner(genome, preset='test'), source(), sink,\n"
+            "           workers=2, chunk_reads=1)\n"
+        )
+        env = dict(os.environ)
+        src = str(Path(__file__).parents[2] / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.Popen(
+            [sys.executable, str(script)], env=env,
+            stdout=subprocess.PIPE, text=True,
+        )
+        try:
+            workers = [int(pid) for pid in proc.stdout.readline().split()]
+        finally:
+            proc.send_signal(signal.SIGKILL)
+            proc.wait(30)
+        assert len(workers) == 2
+
+        def alive(pid):
+            try:
+                with open(f"/proc/{pid}/stat") as fh:
+                    return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+            except OSError:
+                return False
+
+        deadline = time.monotonic() + 30
+        while any(map(alive, workers)) and time.monotonic() < deadline:
+            time.sleep(0.1)
+        assert not any(map(alive, workers)), workers
 
     def test_config_round_trips_by_pickle(self, setup, small_genome):
         aligner, reads, _ = setup
@@ -152,7 +263,7 @@ class TestProcessBackend:
 
 
 class TestParallelDriver:
-    @pytest.mark.parametrize("backend", ["serial", "threads", "processes"])
+    @pytest.mark.parametrize("backend", ["serial", "processes"])
     def test_run_merges_worker_stage_timers(self, setup, serial_paf, backend):
         aligner, reads, index_path = setup
         driver = ParallelDriver(

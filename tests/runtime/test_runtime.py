@@ -16,7 +16,6 @@ from repro.runtime.scheduler import (
     simulate_makespan,
     worker_speeds,
 )
-from repro.runtime.threaded import ThreadedPipeline
 from repro.seq.records import SeqRecord
 
 KNL_HT = {1: 1.00, 2: 1.12, 3: 1.18, 4: 1.21}
@@ -203,39 +202,3 @@ class TestMmio:
         path.write_bytes(b"\0" * (32 << 20))  # 32 MB
         _, t_map = load_bytes_mmap(path)
         assert t_map < 0.05  # mapping is near-instant regardless of size
-
-
-class TestThreadedPipeline:
-    def test_processes_all_items(self):
-        out = []
-        pipe = ThreadedPipeline(
-            load_fn=lambda x: x * 2,
-            compute_fn=lambda x: x + 1,
-            output_fn=out.append,
-        )
-        n = pipe.run(list(range(20)))
-        assert n == 20
-        assert sorted(out) == [x * 2 + 1 for x in range(20)]
-
-    def test_order_preserved(self):
-        out = []
-        pipe = ThreadedPipeline(lambda x: x, lambda x: x, out.append)
-        pipe.run(list(range(50)))
-        assert out == list(range(50))
-
-    def test_exception_propagates(self):
-        def boom(x):
-            raise ValueError("bad batch")
-
-        pipe = ThreadedPipeline(lambda x: x, boom, lambda x: None)
-        with pytest.raises(ValueError):
-            pipe.run([1, 2, 3])
-
-    def test_bad_queue_size(self):
-        pipe = ThreadedPipeline(lambda x: x, lambda x: x, lambda x: None, queue_size=0)
-        with pytest.raises(SchedulerError):
-            pipe.run([1])
-
-    def test_empty_input(self):
-        pipe = ThreadedPipeline(lambda x: x, lambda x: x, lambda x: None)
-        assert pipe.run([]) == 0

@@ -1,7 +1,7 @@
-"""Tests for the streaming overlapped-pipeline backend (§4.4.4).
+"""Tests for the overlapped read/compute/write pipeline (§4.4.4).
 
 The contract under test: ``stream_map`` / ``map_file`` with
-``backend="streaming"`` produce output *byte-identical* to the serial
+``backend="processes"`` produce output *byte-identical* to the serial
 backend for any worker count, chunking, windowing, or input framing
 (plain/gzip FASTA/FASTQ, empty file, one huge read) — while reading the
 input incrementally and reporting pipeline gauges.
@@ -24,6 +24,19 @@ from repro.seq.fasta import write_fasta, write_fastq
 from repro.seq.records import SeqRecord
 from repro.sim.lengths import LengthModel
 from repro.sim.pbsim import ReadSimulator
+
+
+class InterruptRecord:
+    """Read whose sequence access raises Ctrl-C inside the worker."""
+
+    name = "ctrl_c"
+
+    def __len__(self):
+        return 50
+
+    @property
+    def codes(self):
+        raise KeyboardInterrupt
 
 
 @pytest.fixture(scope="module")
@@ -65,10 +78,10 @@ class TestByteIdentity:
     @pytest.mark.parametrize(
         "kw",
         [
-            dict(chunk_reads=1, window_reads=1),
-            dict(chunk_reads=2, window_reads=3, queue_chunks=1),
-            dict(chunk_reads=100, window_reads=5, longest_first=False),
-            dict(chunk_bases=600, window_reads=4),
+            dict(chunk_reads=1),
+            dict(chunk_reads=2, chunk_bases=900),
+            dict(chunk_reads=100, longest_first=False),
+            dict(chunk_bases=600),
         ],
     )
     def test_scheduling_sweep(self, setup, serial_paf, kw):
@@ -92,7 +105,6 @@ class TestByteIdentity:
             aligner,
             iter(reads),
             workers=2,
-            use_processes=True,
             chunk_reads=4,
             index_path=str(idx),
         )
@@ -113,7 +125,7 @@ class TestMapFile:
         fq_gz.write_bytes(gzip.compress(fq.read_bytes()))
         return [fa, fq, fa_gz, fq_gz]
 
-    @pytest.mark.parametrize("backend", ["serial", "threads", "streaming"])
+    @pytest.mark.parametrize("backend", ["serial", "processes"])
     def test_all_framings_identical(self, setup, tmp_path, backend):
         import io
 
@@ -140,7 +152,7 @@ class TestMapFile:
         empty = tmp_path / "empty.fa"
         empty.write_text("")
         out = io.StringIO()
-        stats = api.map_file(aligner, empty, out, backend="streaming", workers=2)
+        stats = api.map_file(aligner, empty, out, backend="processes", workers=2)
         assert out.getvalue() == ""
         assert stats == StreamStats()
 
@@ -158,7 +170,7 @@ class TestMapFile:
         api.map_file(aligner, fa, want, backend="serial")
         got = io.StringIO()
         stats = api.map_file(
-            aligner, fa, got, backend="streaming", workers=2, chunk_bases=100
+            aligner, fa, got, backend="processes", workers=2, chunk_bases=100
         )
         assert got.getvalue() == want.getvalue()
         assert stats.n_reads == 1 and stats.n_chunks == 1
@@ -206,8 +218,6 @@ class TestFailure:
         "kw",
         [
             dict(workers=0),
-            dict(queue_chunks=0),
-            dict(window_reads=0),
             dict(chunk_reads=0),
             dict(chunk_bases=0),
         ],
@@ -283,9 +293,7 @@ class TestShutdownRegression:
             raise KeyboardInterrupt
 
         _, exc = self.run_guarded(
-            lambda: stream_map(
-                aligner, source(), workers=2, chunk_reads=1, queue_chunks=1
-            )
+            lambda: stream_map(aligner, source(), workers=2, chunk_reads=1)
         )
         assert type(exc) is KeyboardInterrupt
 
@@ -307,17 +315,6 @@ class TestShutdownRegression:
 
     def test_keyboard_interrupt_from_compute(self, setup):
         aligner, reads = setup
-
-        class InterruptRecord:
-            name = "ctrl_c"
-
-            def __len__(self):
-                return 50
-
-            @property
-            def codes(self):
-                raise KeyboardInterrupt
-
         poisoned = reads[:2] + [InterruptRecord()] + reads[2:]
         _, exc = self.run_guarded(
             lambda: stream_map(
@@ -348,8 +345,6 @@ class TestShutdownRegression:
                 sink,
                 workers=1,
                 chunk_reads=1,
-                window_reads=1,
-                queue_chunks=1,
             )
         )
         assert isinstance(exc, SchedulerError)
@@ -417,10 +412,11 @@ class TestObservability:
             sink,
             workers=1,
             chunk_reads=1,
-            window_reads=1,
-            queue_chunks=1,
+            longest_first=False,
         )
         assert len(consumed) == len(reads)
-        # window(1) + queued(1) + in-flight chunk + one blocked put —
-        # far less than the full input.
-        assert ahead_at_first_emit[0] <= 6 < len(reads)
+        # One worker, one-read chunks: a window is 4 reads and the work
+        # queue holds 2 chunks. Input order puts read 0 in the first
+        # chunk, so the reader is at most one window past it when it is
+        # emitted — far less than the full input.
+        assert ahead_at_first_emit[0] <= 8 < len(reads)
