@@ -30,6 +30,14 @@ from repro.testing.faults import FaultInjector, FaultSpec, load_faults
 
 pytestmark = pytest.mark.faults
 
+#: Watchdog deadline for the cases meant to trip it on the slow read
+#: only. The worst clean seed-and-chain of these reads, the first read in
+#: a fresh pool worker included, measured 6.9 ms under a concurrent test
+#: load and 19.7 ms in an earlier loop of 1500 calls (2-core x86 box); the
+#: deadline is 5x the latter, and the injected slow read sleeps 4x it.
+READ_TIMEOUT = 0.1
+SLOW_DELAY = 4 * READ_TIMEOUT
+
 
 @pytest.fixture(scope="module")
 def setup(small_genome, tmp_path_factory):
@@ -64,7 +72,7 @@ def injector(reads, *, crash=False):
     specs = [
         FaultSpec(read=reads[2].name, kind="parse"),
         FaultSpec(read=reads[5].name, kind="flaky"),
-        FaultSpec(read=reads[7].name, kind="slow", delay_s=0.05),
+        FaultSpec(read=reads[7].name, kind="slow", delay_s=SLOW_DELAY),
     ]
     if crash:
         specs.append(FaultSpec(read=reads[3].name, kind="crash"))
@@ -192,7 +200,7 @@ class TestCrossBackendRecovery:
         pol = FaultPolicy(
             on_error="retry",
             max_retries=2,
-            read_timeout=0.02,
+            read_timeout=READ_TIMEOUT,
             on_timeout="fallback",
             injector=injector(reads, crash=crash),
         )
@@ -293,10 +301,10 @@ class TestWatchdog:
         aligner, reads, _ = setup
         pol = FaultPolicy(
             on_error="skip",
-            read_timeout=0.02,
+            read_timeout=READ_TIMEOUT,
             on_timeout="fallback",
             injector=FaultInjector.from_specs(
-                [FaultSpec(read=reads[0].name, kind="slow", delay_s=0.08)]
+                [FaultSpec(read=reads[0].name, kind="slow", delay_s=SLOW_DELAY)]
             ),
         )
         telemetry = Telemetry()
@@ -315,10 +323,10 @@ class TestWatchdog:
         aligner, reads, _ = setup
         pol = FaultPolicy(
             on_error="skip",
-            read_timeout=0.02,
+            read_timeout=READ_TIMEOUT,
             on_timeout="skip",
             injector=FaultInjector.from_specs(
-                [FaultSpec(read=reads[0].name, kind="slow", delay_s=0.08)]
+                [FaultSpec(read=reads[0].name, kind="slow", delay_s=SLOW_DELAY)]
             ),
         )
         telemetry = Telemetry()
